@@ -21,10 +21,9 @@ from .worstcase import (BOUND_NAMES, FAIL_MULT, KAPPA, KAPPA_SQ, BoundReport,
 from .concentration import (WILSON_Z, KernelVectorFamily,
                             SphereVectorFamily, TailExperiment,
                             TwoPointVectorFamily, chernoff_c, chernoff_d,
-                            chernoff_eig_tails, default_t_grid,
-                            deviation_threshold, deviation_trial,
-                            eig_tail_envelopes, spectral_budget,
-                            tail_envelope, wilson_interval)
+                            default_t_grid, deviation_threshold,
+                            deviation_trial, eig_tail_envelopes,
+                            spectral_budget, tail_envelope, wilson_interval)
 from .experiment import (ExperimentConfig, ExperimentReport, build_config,
                          build_density, build_model, parse_config, resolve_m,
                          run)

@@ -13,8 +13,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .densities import draw_nodes, trial_rng
-from .leastsq import assemble_design
+from .densities import trial_rng
 
 # 99% two-sided normal quantile for Wilson intervals
 WILSON_Z = 2.5758293035489004
@@ -227,35 +226,3 @@ def spectral_budget(model, density_kind, m):
     raise ValueError("no spectral-function bound for density %r"
                      % (density_kind,))
 
-
-def chernoff_eig_tails(model, density, n, m, t_list, trials, seed,
-                       n_eff=None):
-    """Empirical eigenvalue tail frequencies against the Chernoff envelopes.
-
-    Returns a dict with the sampled extreme eigenvalues and one row per t:
-    (t, freq_min, env_min, freq_max, env_max, vacuous flags).
-    """
-    if n_eff is None:
-        n_eff = spectral_budget(model, density.kind, m)
-    lmin = np.empty(trials)
-    lmax = np.empty(trials)
-    for i in range(trials):
-        nodes = draw_nodes(density, n, seed, stream=i)
-        ds = assemble_design(model, density, nodes, m)
-        lmin[i] = ds.lambda_min
-        lmax[i] = ds.lambda_max
-    rows = []
-    for t in t_list:
-        t = float(t)
-        env_lo, env_hi = eig_tail_envelopes(n, m, t, n_eff)
-        f_lo = float(np.mean(lmin < 1.0 - t))
-        f_hi = float(np.mean(lmax > 1.0 + t))
-        rows.append({
-            "t": t,
-            "freq_min": f_lo, "envelope_min": env_lo,
-            "vacuous_min": env_lo >= 1.0,
-            "freq_max": f_hi, "envelope_max": env_hi,
-            "vacuous_max": env_hi >= 1.0,
-        })
-    return {"lambda_min": lmin, "lambda_max": lmax, "n_eff": n_eff,
-            "rows": rows}

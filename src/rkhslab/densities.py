@@ -146,21 +146,6 @@ class SamplingDensity:
             total += w * comps[term]
         return total
 
-    def evaluate_with_residual(self, x):
-        """Density values plus an upper bound on the series truncation error."""
-        x = np.atleast_1d(np.asarray(x, dtype=float))
-        vals = self.evaluate(x)
-        res = 0.0
-        if self.kind in ("spectral-mix", "spectral-mix-atom", "kernel-diag"):
-            m_eff = self.m if self.kind != "kernel-diag" else 1
-            _, r = self.model.tail_energy_at(m_eff, x[:1])
-            denom = {"spectral-mix": self._tail_mass() + self.model.atom_mass,
-                     "spectral-mix-atom": self._tail_mass(),
-                     "kernel-diag": self.model.trace}[self.kind]
-            if denom > 0.0:
-                res = r / denom
-        return vals, res
-
     def sup_inverse(self):
         """Analytic upper bound on sup_x 1/rho(x), used by envelope checks.
 
@@ -459,10 +444,6 @@ class NormalizedKernelView:
         v, res = self.model.tail_energy_at(m, x)
         rho = self.density.evaluate(x)
         return v / rho, res
-
-    def atom_diag(self, x):
-        x = np.atleast_1d(np.asarray(x, dtype=float))
-        return self.model.atom_mass / self.density.evaluate(x)
 
     def diag(self, x):
         x = np.atleast_1d(np.asarray(x, dtype=float))

@@ -11,7 +11,7 @@ import hashlib
 import json
 import math
 import statistics
-from dataclasses import dataclass, field, fields
+from dataclasses import MISSING, dataclass, field, fields
 
 import numpy as np
 
@@ -29,7 +29,6 @@ from .worstcase import (FAIL_MULT, bound, choose_m, exact_wce_discretization,
                         exact_wce_recovery, max_m_under, model_bound_inputs,
                         wce_nullspace_component)
 
-KINDS = ("recover", "discretize", "eig-check", "concentration", "sweep")
 M_RULES = ("fixed", "auto", "max-cond-7", "max-cond-10")
 _SWEEP_STREAM_STRIDE = 1_000_000
 
@@ -109,46 +108,31 @@ def _conv(raw, key, kind, default):
             raise ValueError(text)
         if kind is tuple:
             return tuple(float(p) for p in text.split(",") if p.strip())
-        if kind == "int-tuple":
-            return tuple(int(p) for p in text.split(",") if p.strip())
         if text == "auto" and kind is int:
-            return None
+            return default
         return kind(text)
     except (TypeError, ValueError):
         raise ConfigError("%s: cannot parse %r" % (key, text)) from None
 
 
+# keys whose parser is not their field's type
+_PARSERS = {"n_grid": lambda text: tuple(int(p) for p in text.split(",")
+                                         if p.strip())}
+
+
 def build_config(raw, **overrides):
-    """Validated ExperimentConfig from a raw dict plus CLI overrides."""
-    known = {f.name for f in fields(ExperimentConfig)}
+    """Validated ExperimentConfig from a raw dict plus CLI overrides.
+
+    Each key is parsed by its field's type; ``auto`` on an integer key means
+    the field's default."""
+    known = {f.name: f for f in fields(ExperimentConfig)}
     for key in raw:
         if key not in known:
             raise ConfigError("%s: unknown key" % key)
-    cfg = ExperimentConfig(
-        kind=raw.get("kind"),
-        basis=_conv(raw, "basis", str, "fourier"),
-        decay=_conv(raw, "decay", str, "poly"),
-        s=_conv(raw, "s", float, 1.0),
-        q=_conv(raw, "q", float, 0.5),
-        scale=_conv(raw, "scale", float, 1.0),
-        values=_conv(raw, "values", tuple, None),
-        atom_mass=_conv(raw, "atom_mass", float, 0.0),
-        density=_conv(raw, "density", str, "plain"),
-        n=_conv(raw, "n", int, None),
-        n_grid=_conv(raw, "n_grid", "int-tuple", None),
-        r=_conv(raw, "r", float, 2.0),
-        m_rule=_conv(raw, "m_rule", str, "auto"),
-        m=_conv(raw, "m", int, None),
-        trials=_conv(raw, "trials", int, 100),
-        seed=_conv(raw, "seed", int, 0),
-        trunc=_conv(raw, "trunc", int, None),
-        weighted=_conv(raw, "weighted", bool, False),
-        dim=_conv(raw, "dim", int, 64),
-        family=_conv(raw, "family", str, "kernel"),
-        t_points=_conv(raw, "t_points", int, 10),
-        out=raw.get("out"),
-        threads=_conv(raw, "threads", int, 0) or 0,
-    )
+    cfg = ExperimentConfig(**{
+        name: _conv(raw, name, _PARSERS.get(name, f.type),
+                    None if f.default is MISSING else f.default)
+        for name, f in known.items()})
     for key, val in overrides.items():
         if val is not None:
             setattr(cfg, key, val)
@@ -192,6 +176,11 @@ def _validate(cfg):
     if cfg.m_rule == "fixed":
         if cfg.m is None or cfg.m < 2:
             raise ConfigError("m: fixed rule needs an integer m >= 2")
+    if cfg.density == "kernel-diag" and (
+            cfg.kind == "eig-check" or cfg.kind in ("recover", "sweep")
+            and cfg.m_rule.startswith("max-cond")):
+        raise ConfigError("density: kernel-diag has no spectral budget, "
+                          "which eig-check and max-cond m_rules need")
     if cfg.trunc is not None and cfg.trunc < 1:
         raise ConfigError("trunc: must be positive or auto")
     if cfg.kind == "concentration":
@@ -223,11 +212,17 @@ def build_model(cfg):
 
 def resolve_m(cfg, model, n):
     if cfg.m_rule == "fixed":
+        if cfg.m - 1 > n:
+            raise ConfigError("m: fixed m = %d needs n >= m - 1, got n = %d"
+                              % (cfg.m, n))
         return cfg.m
     if cfg.m_rule == "auto":
         return max(2, choose_m(n, cfg.r))
     c = 7.0 if cfg.m_rule == "max-cond-7" else 10.0
-    return max_m_under(model, n, cfg.r, c=c, density_kind=cfg.density)
+    try:
+        return max_m_under(model, n, cfg.r, c=c, density_kind=cfg.density)
+    except ValueError as exc:
+        raise ConfigError("m_rule: %s at n = %d" % (exc, n)) from None
 
 
 def build_density(cfg, model, m):
@@ -237,6 +232,13 @@ def build_density(cfg, model, m):
 
 def three_se_slack(rate, trials):
     return 3.0 * binom_se(rate, trials)
+
+
+def within_budget(count, trials, budget):
+    """(rate, ok): the failure rate of count in trials, and whether it stays
+    within budget plus three binomial standard errors."""
+    rate = count / trials
+    return rate, rate <= budget + three_se_slack(rate, trials)
 
 
 @dataclass
@@ -323,18 +325,14 @@ def _bound_payload(rep):
 # ---------------------------------------------------------------------------
 
 
-def run(cfg):
-    if cfg.kind == "recover":
-        return run_recover(cfg)
-    if cfg.kind == "discretize":
-        return run_discretize(cfg)
-    if cfg.kind == "eig-check":
-        return run_eigcheck(cfg)
-    if cfg.kind == "concentration":
-        return run_concentration(cfg)
-    if cfg.kind == "sweep":
-        return run_sweep(cfg)
-    raise ConfigError("kind: unknown %r" % cfg.kind)
+def _report(cfg, header, records, summary, extra_tables=None):
+    """The run's report; each table row is a record's fields in order."""
+    tables = {name: (head, [[rec[k] for k in head] for rec in recs])
+              for name, (head, recs) in (extra_tables or {}).items()}
+    return ExperimentReport(kind=cfg.kind, config=cfg.semantic_dict(),
+                            config_hash=cfg.config_hash(), header=header,
+                            rows=[[rec[k] for k in header] for rec in records],
+                            summary=summary, extra_tables=tables)
 
 
 _RECOVER_HEADER = [
@@ -345,31 +343,36 @@ _RECOVER_HEADER = [
 ]
 
 
-def _recover_trial(model, density, n, m, trunc, seed, stream, bound_val,
-                   atom_bound_val):
-    has_atom = model.atom_mass > 0.0
+def _recover_trial(model, density, n, m, trunc, seed, trial, stream,
+                   bound_val, atom_bound_val):
+    rec = {"trial": trial, "stream": stream, "n": n, "m": m}
     try:
         nodes = draw_nodes(density, n, seed, stream=stream)
         ds = assemble_design(model, density, nodes, m)
         wce = exact_wce_recovery(model, density, nodes, m, trunc=trunc,
                                  design=ds)
     except (RankDeficientError, DegenerateDensityError):
-        return [0, stream, n, m, 1, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0,
-                bound_val, 1, 0.0, 0.0, -1, 0.0, atom_bound_val, 1]
-    row = [0, stream, n, m, 0, ds.lambda_min, ds.lambda_max, wce.pinv_norm,
-           wce.value_sq, wce.residual, wce.upper_sq, bound_val,
-           int(wce.upper_sq > bound_val)]
-    if has_atom:
+        # a flagged trial counts as exceeding both bounds
+        return dict(dict.fromkeys(_RECOVER_HEADER, 0.0), **rec, flagged=1,
+                    bound_value=bound_val, exceeded=1, nullspace_ok=-1,
+                    atom_bound_value=atom_bound_val, atom_exceeded=1)
+    rec.update(flagged=0, lambda_min=ds.lambda_min, lambda_max=ds.lambda_max,
+               pinv_norm=wce.pinv_norm, wce_sq=wce.value_sq,
+               wce_residual=wce.residual, wce_upper_sq=wce.upper_sq,
+               bound_value=bound_val, exceeded=int(wce.upper_sq > bound_val))
+    if model.atom_mass > 0.0:
         null = wce_nullspace_component(model.atom_mass, nodes, ds)
-        tri = (math.sqrt(wce.upper_sq) + math.sqrt(null.component)) ** 2
-        null_ok = -1 if null.within_envelope is None else int(
-            null.within_envelope)
-        row += [null.component, null.envelope, null_ok, tri, atom_bound_val,
-                int(tri > atom_bound_val)]
+        rec.update(nullspace=null.component, nullspace_envelope=null.envelope,
+                   nullspace_ok=-1 if null.within_envelope is None
+                   else int(null.within_envelope),
+                   triangle_upper_sq=(math.sqrt(wce.upper_sq)
+                                      + math.sqrt(null.component)) ** 2)
     else:
-        row += [0.0, 0.0, -1, wce.upper_sq, atom_bound_val,
-                int(wce.upper_sq > atom_bound_val)]
-    return row
+        rec.update(nullspace=0.0, nullspace_envelope=0.0, nullspace_ok=-1,
+                   triangle_upper_sq=wce.upper_sq)
+    rec.update(atom_bound_value=atom_bound_val,
+               atom_exceeded=int(rec["triangle_upper_sq"] > atom_bound_val))
+    return rec
 
 
 def run_recover(cfg):
@@ -382,43 +385,35 @@ def run_recover(cfg):
     rep_sup = bound("recovery-tail-sup", **inputs)
     rep_half = bound("recovery-half-tail", **inputs)
     rep_atom = bound("recovery-atom", **inputs)
-    has_atom = model.atom_mass > 0.0
-    rows = []
-    for i in range(cfg.trials):
-        row = _recover_trial(model, density, n, m, cfg.trunc, cfg.seed, i,
-                             rep_sum.value, rep_atom.value)
-        row[0] = i
-        rows.append(row)
-    flagged = sum(r[4] for r in rows)
-    exceed = sum(1 if (r[4] or r[12]) else 0 for r in rows)
-    rate = exceed / cfg.trials
+    recs = [_recover_trial(model, density, n, m, cfg.trunc, cfg.seed, i, i,
+                           rep_sum.value, rep_atom.value)
+            for i in range(cfg.trials)]
+    usable = [r for r in recs if not r["flagged"]]
+    exceed = sum(r["exceeded"] for r in recs)
     budget = FAIL_MULT * float(n) ** (1.0 - cfg.r)
-    ok = rate <= budget + three_se_slack(rate, cfg.trials)
+    rate, ok = within_budget(exceed, cfg.trials, budget)
     summary = {
-        "n": n, "m": m, "trials": cfg.trials, "flagged": flagged,
+        "n": n, "m": m, "trials": cfg.trials,
+        "flagged": cfg.trials - len(usable),
         "exceed_count": exceed, "exceed_rate": rate,
         "fail_prob_bound": budget,
         "slack_3se": three_se_slack(rate, cfg.trials),
         "median_wce_sq": statistics.median(
-            r[8] for r in rows if not r[4]) if flagged < cfg.trials else None,
+            r["wce_sq"] for r in usable) if usable else None,
         "max_wce_upper_sq": max(
-            (r[10] for r in rows if not r[4]), default=None),
+            (r["wce_upper_sq"] for r in usable), default=None),
         "bounds": {rep.name: _bound_payload(rep)
                    for rep in (rep_sum, rep_sup, rep_half, rep_atom)},
         "pass": bool(ok),
     }
-    if has_atom:
-        atom_exceed = sum(1 if (r[4] or r[18]) else 0 for r in rows)
-        atom_rate = atom_exceed / cfg.trials
-        env_viol = sum(1 for r in rows if r[15] == 0)
-        atom_ok = atom_rate <= budget + three_se_slack(atom_rate, cfg.trials)
+    if model.atom_mass > 0.0:
+        atom_rate, atom_ok = within_budget(
+            sum(r["atom_exceeded"] for r in recs), cfg.trials, budget)
+        env_viol = sum(1 for r in recs if r["nullspace_ok"] == 0)
         summary["atom_exceed_rate"] = atom_rate
         summary["nullspace_envelope_violations"] = env_viol
         summary["pass"] = bool(ok and atom_ok and env_viol == 0)
-    return ExperimentReport(kind="recover", config=cfg.semantic_dict(),
-                            config_hash=cfg.config_hash(),
-                            header=_RECOVER_HEADER, rows=rows,
-                            summary=summary)
+    return _report(cfg, _RECOVER_HEADER, recs, summary)
 
 
 _DISCRETIZE_HEADER = [
@@ -448,36 +443,38 @@ def run_discretize(cfg):
         density = SamplingDensity(model, "plain")
         rep_main = bound("discretize-sup", **inputs)
         rep_final = bound("discretize-sup-final", **inputs)
-    rows = []
-    for i in range(cfg.trials):
+
+    def trial(i):
         nodes = draw_nodes(density, n, cfg.seed, stream=i)
         weights = 1.0 / nodes.density_values if cfg.weighted else None
         val = exact_wce_discretization(model, nodes, weights=weights,
                                        trunc=trunc)
-        rows.append([i, i, n, int(cfg.weighted), 0, val.value, val.residual,
-                     val.upper, rep_main.value,
-                     int(val.upper > rep_main.value), rep_final.value,
-                     int(val.upper > rep_final.value), val.trunc_dim])
-    exceed = sum(r[9] for r in rows)
-    rate = exceed / cfg.trials
+        return {"trial": i, "stream": i, "n": n, "flagged": 0,
+                "weighted": int(cfg.weighted), "value": val.value,
+                "residual": val.residual, "upper": val.upper,
+                "bound_value": rep_main.value,
+                "exceeded": int(val.upper > rep_main.value),
+                "final_bound_value": rep_final.value,
+                "final_exceeded": int(val.upper > rep_final.value),
+                "trunc_dim": val.trunc_dim}
+
+    recs = [trial(i) for i in range(cfg.trials)]
+    exceed = sum(r["exceeded"] for r in recs)
     budget = 2.0 * float(n) ** (1.0 - cfg.r)
-    ok = rate <= budget + three_se_slack(rate, cfg.trials)
+    rate, ok = within_budget(exceed, cfg.trials, budget)
     summary = {
         "n": n, "trials": cfg.trials, "weighted": cfg.weighted,
         "trunc": trunc,
         "exceed_count": exceed, "exceed_rate": rate,
         "fail_prob_bound": budget,
         "slack_3se": three_se_slack(rate, cfg.trials),
-        "median_value": statistics.median(r[5] for r in rows),
-        "max_upper": max(r[7] for r in rows),
+        "median_value": statistics.median(r["value"] for r in recs),
+        "max_upper": max(r["upper"] for r in recs),
         "bounds": {rep.name: _bound_payload(rep)
                    for rep in (rep_main, rep_final)},
         "pass": bool(ok),
     }
-    return ExperimentReport(kind="discretize", config=cfg.semantic_dict(),
-                            config_hash=cfg.config_hash(),
-                            header=_DISCRETIZE_HEADER, rows=rows,
-                            summary=summary)
+    return _report(cfg, _DISCRETIZE_HEADER, recs, summary)
 
 
 _EIGCHECK_HEADER = [
@@ -491,38 +488,36 @@ def run_eigcheck(cfg):
     n = cfg.n
     m = resolve_m(cfg, model, n)
     density = build_density(cfg, model, m)
-    rows = []
-    for i in range(cfg.trials):
+
+    def trial(i):
         nodes = draw_nodes(density, n, cfg.seed, stream=i)
-        ds = assemble_design(model, density, nodes, m)
-        chk = gram_eig_check(ds, r=cfg.r)
-        rows.append([i, i, n, m, 0, chk["lambda_min"], chk["lambda_max"],
-                     chk["pinv_norm"], int(chk["eig_ok"]),
-                     int(chk["norm_ok"])])
-    eig_fail = sum(1 for r in rows if not r[8])
-    norm_fail = sum(1 for r in rows if not r[9])
-    eig_rate = eig_fail / cfg.trials
-    norm_rate = norm_fail / cfg.trials
+        chk = gram_eig_check(assemble_design(model, density, nodes, m),
+                             r=cfg.r)
+        return {"trial": i, "stream": i, "n": n, "m": m, "flagged": 0,
+                "lambda_min": chk["lambda_min"],
+                "lambda_max": chk["lambda_max"],
+                "pinv_norm": chk["pinv_norm"], "eig_ok": int(chk["eig_ok"]),
+                "norm_ok": int(chk["norm_ok"])}
+
+    recs = [trial(i) for i in range(cfg.trials)]
     eig_budget = float(n) ** (1.0 - cfg.r)
     norm_budget = 2.0 * float(n) ** (1.0 - cfg.r)
+    eig_rate, eig_ok = within_budget(sum(1 for r in recs if not r["eig_ok"]),
+                                     cfg.trials, eig_budget)
+    norm_rate, norm_ok = within_budget(
+        sum(1 for r in recs if not r["norm_ok"]), cfg.trials, norm_budget)
     # the norm window is only guaranteed under the tighter spectral budget
     window_applicable = (spectral_budget(model, cfg.density, m)
                          <= n / (10.0 * cfg.r * math.log(n)))
-    eig_ok = eig_rate <= eig_budget + three_se_slack(eig_rate, cfg.trials)
-    norm_ok = (not window_applicable or norm_rate
-               <= norm_budget + three_se_slack(norm_rate, cfg.trials))
     summary = {
         "n": n, "m": m, "trials": cfg.trials,
         "eig_fail_rate": eig_rate, "eig_fail_bound": eig_budget,
         "norm_fail_rate": norm_rate, "norm_fail_bound": norm_budget,
         "window_applicable": bool(window_applicable),
-        "min_lambda_min": min(r[5] for r in rows),
-        "pass": bool(eig_ok and norm_ok),
+        "min_lambda_min": min(r["lambda_min"] for r in recs),
+        "pass": bool(eig_ok and (norm_ok or not window_applicable)),
     }
-    return ExperimentReport(kind="eig-check", config=cfg.semantic_dict(),
-                            config_hash=cfg.config_hash(),
-                            header=_EIGCHECK_HEADER, rows=rows,
-                            summary=summary)
+    return _report(cfg, _EIGCHECK_HEADER, recs, summary)
 
 
 _CONCENTRATION_HEADER = ["trial", "deviation"]
@@ -549,22 +544,20 @@ def run_concentration(cfg):
     exp = TailExperiment(family=family, n=n, t_grid=grid, trials=cfg.trials,
                          seed=cfg.seed)
     devs = exp.run()
-    rows = [[i, float(devs[i])] for i in range(cfg.trials)]
-    curve = []
-    worst_excess = 0.0
-    ok = True
-    for t, rate, lo, hi, env in exp.curve():
-        vac = env >= 1.0
-        curve.append([t, rate, lo, hi, env, int(vac)])
-        if not vac:
-            slack = three_se_slack(rate, cfg.trials)
-            worst_excess = max(worst_excess, rate - env - slack)
-            if rate > env + slack:
-                ok = False
+    recs = [{"trial": i, "deviation": float(devs[i])}
+            for i in range(cfg.trials)]
+    curve = [dict(zip(_CURVE_HEADER, (t, rate, lo, hi, env, int(env >= 1.0))))
+             for t, rate, lo, hi, env in exp.curve()]
+    live = [c for c in curve if not c["vacuous"]]
+    worst_excess = max([0.0] + [
+        c["rate"] - c["envelope"] - three_se_slack(c["rate"], cfg.trials)
+        for c in live])
+    ok = all(within_budget(int(np.count_nonzero(devs >= c["t"])), cfg.trials,
+                           c["envelope"])[1] for c in live)
     thr = deviation_threshold(n, cfg.r, family.m_bound, family.lambda_op)
-    thr_rate = float(np.mean(devs >= thr))
     thr_budget = 2.0 ** 0.75 * float(n) ** (1.0 - cfg.r)
-    thr_ok = thr_rate <= thr_budget + three_se_slack(thr_rate, cfg.trials)
+    thr_rate, thr_ok = within_budget(int(np.count_nonzero(devs >= thr)),
+                                     cfg.trials, thr_budget)
     summary = {
         "n": n, "trials": cfg.trials, "family": family.describe(),
         "m_bound": family.m_bound, "lambda_op": family.lambda_op,
@@ -577,11 +570,8 @@ def run_concentration(cfg):
         "threshold_bound": thr_budget,
         "pass": bool(ok and thr_ok),
     }
-    return ExperimentReport(
-        kind="concentration", config=cfg.semantic_dict(),
-        config_hash=cfg.config_hash(), header=_CONCENTRATION_HEADER,
-        rows=rows, summary=summary,
-        extra_tables={"curve.csv": (_CURVE_HEADER, curve)})
+    return _report(cfg, _CONCENTRATION_HEADER, recs, summary,
+                   {"curve.csv": (_CURVE_HEADER, curve)})
 
 
 _SWEEP_HEADER = ["grid_n", "trial", "stream", "m", "flagged", "wce_sq",
@@ -599,7 +589,7 @@ def _error_scale_slope(ns, values):
 
 def run_sweep(cfg):
     model = build_model(cfg)
-    rows = []
+    recs = []
     table = []
     for gi, n in enumerate(cfg.n_grid):
         m = resolve_m(cfg, model, n)
@@ -609,41 +599,45 @@ def run_sweep(cfg):
         rep_atom = bound("recovery-atom", **inputs)
         rep_scan = bound("baseline-scan", **inputs)
         rep_p2 = bound("baseline-p2", **inputs)
-        vals, uppers = [], []
-        for i in range(cfg.trials):
-            stream = gi * _SWEEP_STREAM_STRIDE + i
-            row = _recover_trial(model, density, n, m, cfg.trunc, cfg.seed,
-                                 stream, rep_sum.value, rep_atom.value)
-            row[0] = i
-            rows.append([n] + row[:1] + row[1:2] + row[3:5] + row[8:9]
-                        + row[10:11])
-            if not row[4]:
-                vals.append(row[8])
-                uppers.append(row[10])
-        table.append([n, m,
-                      statistics.median(vals) if vals else math.nan,
-                      statistics.median(uppers) if uppers else math.nan,
-                      rep_sum.value, rep_atom.value, rep_scan.value,
-                      rep_p2.value])
-    ns = [row[0] for row in table]
-    slopes = {
-        "bound_tail_sum": _error_scale_slope(ns, [r[4] for r in table]),
-        "bound_atom": _error_scale_slope(ns, [r[5] for r in table]),
-        "baseline_scan": _error_scale_slope(ns, [r[6] for r in table]),
-        "baseline_p2": _error_scale_slope(ns, [r[7] for r in table]),
-        "median_upper": _error_scale_slope(ns, [r[3] for r in table]),
-    }
+        grid_recs = [
+            dict(_recover_trial(model, density, n, m, cfg.trunc, cfg.seed, i,
+                                gi * _SWEEP_STREAM_STRIDE + i, rep_sum.value,
+                                rep_atom.value), grid_n=n)
+            for i in range(cfg.trials)]
+        recs += grid_recs
+        usable = [r for r in grid_recs if not r["flagged"]]
+        table.append({
+            "n": n, "m": m,
+            "median_wce_sq": statistics.median(
+                r["wce_sq"] for r in usable) if usable else math.nan,
+            "median_upper_sq": statistics.median(
+                r["wce_upper_sq"] for r in usable) if usable else math.nan,
+            "bound_tail_sum": rep_sum.value, "bound_atom": rep_atom.value,
+            "baseline_scan": rep_scan.value, "baseline_p2": rep_p2.value})
+    ns = [row["n"] for row in table]
+    slopes = {key: _error_scale_slope(ns, [row[key] for row in table])
+              for key in ("bound_tail_sum", "bound_atom", "baseline_scan",
+                          "baseline_p2")}
+    slopes["median_upper"] = _error_scale_slope(
+        ns, [row["median_upper_sq"] for row in table])
     ok = (-1.2 <= slopes["bound_tail_sum"] <= -0.45
           and abs(slopes["baseline_p2"] + 0.25) <= 0.05
           and slopes["bound_atom"] <= -0.45)
     summary = {
         "n_grid": list(cfg.n_grid), "trials": cfg.trials,
-        "slopes_error_scale": slopes,
-        "table": [dict(zip(_SWEEP_TABLE_HEADER, row)) for row in table],
-        "pass": bool(ok),
+        "slopes_error_scale": slopes, "table": table, "pass": bool(ok),
     }
-    return ExperimentReport(
-        kind="sweep", config=cfg.semantic_dict(),
-        config_hash=cfg.config_hash(), header=_SWEEP_HEADER, rows=rows,
-        summary=summary,
-        extra_tables={"table.csv": (_SWEEP_TABLE_HEADER, table)})
+    return _report(cfg, _SWEEP_HEADER, recs, summary,
+                   {"table.csv": (_SWEEP_TABLE_HEADER, table)})
+
+
+_RUNNERS = {"recover": run_recover, "discretize": run_discretize,
+            "eig-check": run_eigcheck, "concentration": run_concentration,
+            "sweep": run_sweep}
+KINDS = tuple(_RUNNERS)
+
+
+def run(cfg):
+    if cfg.kind not in _RUNNERS:
+        raise ConfigError("kind: unknown %r" % cfg.kind)
+    return _RUNNERS[cfg.kind](cfg)

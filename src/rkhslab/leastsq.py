@@ -14,14 +14,11 @@ from dataclasses import dataclass
 
 import numpy as np
 from scipy.linalg import solve_triangular
-from scipy.sparse.linalg import lsqr
 
 from .errors import RankDeficientError
 
 # columns below this singular-value ratio make the trial unusable
 RANK_RTOL = 1e-10
-# direct QR up to here, iterative solver beyond
-_DIRECT_LIMIT = 2000
 
 
 @dataclass
@@ -119,24 +116,9 @@ def recover(model, density, nodes, m, samples, design=None):
             "design matrix is rank deficient (lambda_min=%.3e)"
             % ds.lambda_min)
     g = np.asarray(samples) * ds.weights
-    if ds.m - 1 <= _DIRECT_LIMIT:
-        q, rr = np.linalg.qr(ds.matrix)
-        coef = solve_triangular(rr, q.conj().T @ g, lower=False)
-        residual = float(np.linalg.norm(ds.matrix @ coef - g))
-    else:
-        if np.iscomplexobj(ds.matrix):
-            # lsqr is real-only; solve the stacked real system
-            A = np.vstack([np.hstack([ds.matrix.real, -ds.matrix.imag]),
-                           np.hstack([ds.matrix.imag, ds.matrix.real])])
-            b = np.concatenate([np.asarray(g).real, np.asarray(g).imag])
-            out = lsqr(A, b, atol=1e-14, btol=1e-14, iter_lim=8 * ds.m)
-            half = ds.m - 1
-            coef = out[0][:half] + 1j * out[0][half:]
-            residual = float(np.linalg.norm(ds.matrix @ coef - g))
-        else:
-            out = lsqr(ds.matrix, g, atol=1e-14, btol=1e-14, iter_lim=8 * ds.m)
-            coef = out[0]
-            residual = float(out[3])
+    q, rr = np.linalg.qr(ds.matrix)
+    coef = solve_triangular(rr, q.conj().T @ g, lower=False)
+    residual = float(np.linalg.norm(ds.matrix @ coef - g))
     return Coefficients(values=coef, residual_norm=residual)
 
 

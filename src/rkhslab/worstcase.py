@@ -20,6 +20,7 @@ import numpy as np
 from scipy.linalg import cho_factor, cho_solve
 from scipy.sparse.linalg import LinearOperator, eigsh
 
+from .concentration import spectral_budget
 from .errors import RankDeficientError
 from .leastsq import assemble_design
 
@@ -419,28 +420,13 @@ def choose_m(n, r):
 
 
 def max_m_under(model, n, r, c=7.0, density_kind=None, m_cap=None):
-    """Largest m >= 2 whose (density-adjusted) spectral function stays below
-    n / (c r log n).
-
-    density_kind None means the raw spectral function; the two mixture kinds
-    use their a-priori bounds 2(m-1) and 3(m-1).
-    """
+    """Largest m >= 2 whose spectral budget for density_kind (see
+    ``spectral_budget``) stays below n / (c r log n)."""
     budget = n / (c * float(r) * math.log(n))
-    if density_kind is None or density_kind == "plain":
-        neff = model.spectral_function
-    elif density_kind == "spectral-mix":
-        def neff(m):
-            return 2.0 * (m - 1)
-    elif density_kind == "spectral-mix-atom":
-        def neff(m):
-            return 3.0 * (m - 1)
-    else:
-        raise ValueError("no spectral-function bound for density %r"
-                         % (density_kind,))
     cap = m_cap if m_cap is not None else n + 1
     best = None
     m = 2
-    while m <= cap and neff(m) <= budget:
+    while m <= cap and spectral_budget(model, density_kind, m) <= budget:
         best = m
         m += 1
     if best is None:

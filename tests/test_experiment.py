@@ -59,6 +59,22 @@ def test_field_diagnostics_carry_the_key():
         build(RECOVER_CFG.replace("n = 120", "n = twelve"))
 
 
+def test_build_config_parses_by_field_type():
+    cfg = build(RECOVER_CFG + "threads = auto\nvalues = 1, 0.5\n")
+    assert cfg.threads == 0
+    assert cfg.values == (1.0, 0.5)
+    assert cfg.trunc == 256 and cfg.weighted is False
+    sweep = build("kind = sweep\nn_grid = 64,128,256,512\n")
+    assert sweep.n_grid == (64, 128, 256, 512)
+
+
+def test_within_budget_boundary():
+    # 8 of 16: rate 1/2, three standard errors 3/8, all exact in binary
+    assert ex.within_budget(8, 16, 0.125) == (0.5, True)
+    rate, ok = ex.within_budget(9, 16, 0.125)
+    assert rate == 9 / 16 and not ok
+
+
 def test_config_hash_semantics():
     cfg = build(RECOVER_CFG)
     assert cfg.config_hash() == build(RECOVER_CFG).config_hash()
@@ -230,3 +246,47 @@ def test_cli_seed_override_changes_hash(tmp_path):
     ha = [ln for ln in a.stdout.splitlines() if "config hash" in ln]
     hb = [ln for ln in b.stdout.splitlines() if "config hash" in ln]
     assert ha and hb and ha != hb
+
+
+_KERNEL_DIAG_EIG = """
+basis = cosine
+decay = sobolev
+s = 1.0
+density = kernel-diag
+n = 200
+r = 2.0
+trials = 2
+"""
+
+BAD_RUNS = [
+    # fixed m needs n >= m - 1
+    pytest.param("recover", "m:", "basis = fourier\ndecay = poly\ns = 1.0\n"
+                 "n = 5\nr = 2.0\nm_rule = fixed\nm = 10\ntrials = 2\n",
+                 id="fixed-m-above-n"),
+    # no m >= 2 fits n / (7 r log n) at n = 20
+    pytest.param("eig-check", "m_rule:", "basis = cosine\ndecay = sobolev\n"
+                 "s = 1.0\nn = 20\nr = 2.0\nm_rule = max-cond-7\n"
+                 "trials = 2\n", id="max-cond-without-m"),
+    # kernel-diag has no spectral budget, whatever the m rule
+    pytest.param("eig-check", "density:", _KERNEL_DIAG_EIG + "m_rule = auto\n",
+                 id="kernel-diag-auto"),
+    pytest.param("eig-check", "density:",
+                 _KERNEL_DIAG_EIG + "m_rule = fixed\nm = 3\n",
+                 id="kernel-diag-fixed"),
+    pytest.param("eig-check", "density:",
+                 _KERNEL_DIAG_EIG + "m_rule = max-cond-10\n",
+                 id="kernel-diag-max-cond"),
+]
+
+
+@pytest.mark.parametrize("kind,key,text", BAD_RUNS)
+def test_bad_configs_raise_config_error(tmp_path, kind, key, text):
+    with pytest.raises(ConfigError, match="^" + key):
+        ex.run(build("kind = %s\n" % kind + text))
+    cfg = tmp_path / "bad.cfg"
+    cfg.write_text(text)
+    out = run_cli([kind, "--config", str(cfg), "--out", str(tmp_path / "o")],
+                  tmp_path)
+    assert out.returncode == 2, out.stderr
+    assert "config error: " + key in out.stderr
+    assert "Traceback" not in out.stderr

@@ -10,7 +10,8 @@ from rkhslab import (BOUND_NAMES, FAIL_MULT, KAPPA, KAPPA_SQ,
                      exact_wce_recovery, fail_prob, get_basis, max_m_under,
                      mc_sup_quadratic, mc_sup_singular, model_bound_inputs,
                      nodes_from_points, power_iteration_norm,
-                     recovery_error_matrix, wce_nullspace_component)
+                     recovery_error_matrix, spectral_budget,
+                     wce_nullspace_component)
 from rkhslab.densities import trial_rng
 
 
@@ -50,6 +51,21 @@ def test_max_m_under_budgets():
                         density_kind="spectral-mix")
     budget = 2000 / (7.0 * 2.0 * math.log(2000))
     assert 2.0 * (m_mix - 1) <= budget < 2.0 * m_mix
+
+
+@pytest.mark.parametrize("kind", ["plain", "spectral-mix",
+                                  "spectral-mix-atom"])
+def test_max_m_under_is_largest_m_within_spectral_budget(kind):
+    model = cosine_sob()
+    budget = 2000 / (7.0 * 2.0 * math.log(2000))
+    m = max_m_under(model, 2000, 2.0, c=7.0, density_kind=kind)
+    assert spectral_budget(model, kind, m) <= budget
+    assert spectral_budget(model, kind, m + 1) > budget
+
+
+def test_max_m_under_rejects_unknown_density_kind():
+    with pytest.raises(ValueError):
+        max_m_under(cosine_sob(), 2000, 2.0, density_kind="kernel-diag")
 
 
 def test_pinned_bound_values():
