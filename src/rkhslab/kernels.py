@@ -232,21 +232,23 @@ class ExplicitEigenvalues(EigenvalueRule):
 # ---------------------------------------------------------------------------
 
 
-def _unit_circle_powers(theta, f_lo, f_hi):
-    """Columns exp(i*f*theta) for f = f_lo..f_hi via stepwise rotation.
+def _unit_circle_powers(theta, freqs):
+    """Table of exp(i*f*theta) for f = min(freqs)..max(freqs), one row per node.
 
-    One exact anchor exponential plus elementwise rotations; phase drift grows
-    like (f_hi - f_lo) * eps which stays far below the tolerances used here.
+    One exact anchor column, then each node's row is rotated stepwise by
+    exp(i*theta); phase drift grows like (max - min) * eps, far below the
+    tolerances used here.  Returns the table and the table column of each
+    requested frequency.  Callers gather with ``np.take``, which keeps the
+    block C-ordered (plain fancy indexing does not), so the BLAS products
+    downstream see the same layout and give the same bits.
     """
     theta = np.asarray(theta, dtype=float)
-    count = f_hi - f_lo + 1
-    out = np.empty((theta.size, count), dtype=complex)
+    f_lo = int(freqs.min())
+    out = np.empty((theta.size, int(freqs.max()) - f_lo + 1), dtype=complex)
     out[:, 0] = np.exp(1j * f_lo * theta)
-    if count > 1:
-        step = np.exp(1j * theta)
-        for c in range(1, count):
-            np.multiply(out[:, c - 1], step, out=out[:, c])
-    return out
+    out[:, 1:] = np.exp(1j * theta)[:, None]
+    np.multiply.accumulate(out, axis=1, out=out)
+    return out, freqs - f_lo
 
 
 class FourierBasis:
@@ -270,13 +272,10 @@ class FourierBasis:
         ks = np.atleast_1d(np.asarray(ks, dtype=np.int64))
         x = self.domain.canonical(np.atleast_1d(x))
         freqs = self.frequency(ks)
-        f_abs = np.abs(freqs)
-        f_lo, f_hi = int(f_abs.min()), int(f_abs.max())
-        powers = _unit_circle_powers(TWO_PI * x, f_lo, f_hi)
-        out = np.empty((x.size, ks.size), dtype=complex)
-        for c, f in enumerate(freqs):
-            col = powers[:, int(abs(f)) - f_lo]
-            out[:, c] = col if f >= 0 else np.conj(col)
+        powers, cols = _unit_circle_powers(TWO_PI * x, np.abs(freqs))
+        out = np.take(powers, cols, axis=1)
+        # negative frequencies are the conjugates of their |f| columns
+        out.imag *= np.where(freqs < 0, -1.0, 1.0)
         return out
 
     def eval(self, k, x):
@@ -320,8 +319,7 @@ class FourierBasis:
         keep = lam > 0.0
         ks = ks[keep]
         lam = lam[keep]
-        fx = self.eval_block(ks, [x])[0]
-        fy = self.eval_block(ks, [y])[0]
+        fx, fy = self.eval_block(ks, [x, y])
         return complex(np.sum(lam * fx * np.conj(fy))), residual
 
 
@@ -340,18 +338,13 @@ class CosineBasis:
         ks = np.atleast_1d(np.asarray(ks, dtype=np.int64))
         x = self.domain.canonical(np.atleast_1d(x))
         freqs = ks - 1
-        f_lo = int(max(freqs.min(), 1))
-        f_hi = int(freqs.max())
-        powers = None
-        if f_hi >= 1:
-            powers = _unit_circle_powers(math.pi * x, f_lo, f_hi)
-        out = np.empty((x.size, ks.size))
-        sqrt2 = math.sqrt(2.0)
-        for c, f in enumerate(freqs):
-            if f == 0:
-                out[:, c] = 1.0
-            else:
-                np.multiply(sqrt2, powers[:, int(f) - f_lo].real, out=out[:, c])
+        # the constant column is overwritten, so frequency 0 borrows column 1
+        powers, cols = _unit_circle_powers(math.pi * x, np.maximum(freqs, 1))
+        # real parts are the even columns of the float view; gathering there
+        # spares np.take a contiguous copy of powers.real
+        out = np.take(powers.view(float), 2 * cols, axis=1)
+        out *= math.sqrt(2.0)
+        out[:, freqs == 0] = 1.0
         return out
 
     def eval(self, k, x):
@@ -367,12 +360,10 @@ class CosineBasis:
 
     def spectral_sum_at(self, m, x):
         x = np.asarray(x, dtype=float)
-        total = np.zeros(x.shape)
-        if m >= 2:
-            total += 1.0
-            for j in range(1, m - 1):
-                total += 2.0 * np.cos(math.pi * j * x) ** 2
-        return total
+        if m <= 1:
+            return np.zeros(x.shape)
+        block = self.eval_block(np.arange(1, m), x.ravel())
+        return np.sum(np.square(block, out=block), axis=1).reshape(x.shape)
 
     def _osc_tail(self, rule, m, theta):
         """sum_{k >= m} lambda_k cos((k-1) theta) for m >= 2, with residual."""
@@ -442,8 +433,7 @@ class CosineBasis:
         lam = rule.values(ks)
         keep = lam > 0.0
         ks, lam = ks[keep], lam[keep]
-        fx = self.eval_block(ks, [x])[0]
-        fy = self.eval_block(ks, [y])[0]
+        fx, fy = self.eval_block(ks, [x, y])
         return complex(np.sum(lam * fx * np.conj(fy))), residual
 
 
@@ -568,9 +558,6 @@ class SpectralKernelModel:
         return self.trace, self.trace0
 
     # -- pointwise evaluation ------------------------------------------------
-
-    def eigenfunction(self, k, x):
-        return self.basis.eval(k, x)
 
     def diag_value(self, x):
         """K(x, x), vectorized; exact for the built-in combinations."""

@@ -93,8 +93,8 @@ def assemble_design(model, density, nodes, m):
     rho = np.asarray(nodes.density_values, dtype=float)
     weights = np.where(rho > 0.0, 1.0 / np.sqrt(np.where(rho > 0.0, rho, 1.0)),
                        0.0)
-    block = model.basis.eval_block(np.arange(1, m), nodes.x)
-    matrix = block * weights[:, None]
+    matrix = model.basis.eval_block(np.arange(1, m), nodes.x)
+    matrix *= weights[:, None]
     gram = matrix.conj().T @ matrix / n
     gram = 0.5 * (gram + gram.conj().T)
     eigs = np.linalg.eigvalsh(gram)

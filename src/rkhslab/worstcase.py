@@ -32,7 +32,6 @@ FAIL_MULT = 2.0 ** 0.75 + 1.0
 _DENSE_RECOVERY = 600
 _DENSE_DISCRETIZE = 1024
 _TRUNC_CAP = 4096
-_EVAL_CHUNK = 1024
 
 
 # ---------------------------------------------------------------------------
@@ -114,15 +113,11 @@ def _pick_trunc(model, trunc, lowest):
     return n
 
 
-def _scaled_design(model, x, row_scale, col_scale, n_cols, dtype=None):
-    """G[i, k] = col_scale[k] * row_scale[i] * eta_{k+1}(x_i), chunked."""
-    out = None
-    for lo in range(0, n_cols, _EVAL_CHUNK):
-        hi = min(lo + _EVAL_CHUNK, n_cols)
-        block = model.basis.eval_block(np.arange(lo + 1, hi + 1), x)
-        if out is None:
-            out = np.empty((x.size, n_cols), dtype=block.dtype)
-        out[:, lo:hi] = block * row_scale[:, None] * col_scale[lo:hi][None, :]
+def _scaled_design(model, x, row_scale, col_scale, n_cols):
+    """G[i, k] = col_scale[k] * row_scale[i] * eta_{k+1}(x_i)."""
+    out = model.basis.eval_block(np.arange(1, n_cols + 1), x)
+    out *= row_scale[:, None]
+    out *= col_scale[None, :]
     return out
 
 

@@ -1,5 +1,8 @@
+import csv
 import json
+import math
 import os
+import statistics
 import subprocess
 import sys
 from pathlib import Path
@@ -8,7 +11,7 @@ import numpy as np
 import pytest
 
 import rkhslab
-from rkhslab import ConfigError
+from rkhslab import ConfigError, RankDeficientError
 from rkhslab import experiment as ex
 
 RECOVER_CFG = """
@@ -125,6 +128,66 @@ def test_flagged_trials_count_as_failures():
     cfg.n = 3
     with pytest.raises(Exception):
         ex.run(cfg)
+
+
+def _flag_alternate_calls(monkeypatch):
+    """Make every other exact_wce_recovery call (the first included) raise
+    RankDeficientError, as a rank-deficient design does."""
+    real = ex.exact_wce_recovery
+    calls = []
+
+    def flaky(*args, **kwargs):
+        calls.append(None)
+        if len(calls) % 2 == 1:
+            raise RankDeficientError("forced flag")
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(ex, "exact_wce_recovery", flaky)
+
+
+def test_flagged_recover_trials_exceed_both_bounds(monkeypatch):
+    _flag_alternate_calls(monkeypatch)
+    rep = ex.run(build(RECOVER_CFG.replace("density = spectral-mix",
+                                           "density = spectral-mix-atom\n"
+                                           "atom_mass = 0.3")))
+    recs = [dict(zip(rep.header, row)) for row in rep.rows]
+    assert [r["flagged"] for r in recs] == [1, 0, 1, 0]
+    for r in recs:
+        if r["flagged"]:
+            assert r["exceeded"] == 1 and r["atom_exceeded"] == 1
+            assert r["nullspace_ok"] == -1
+        else:
+            assert r["wce_sq"] > 0.0
+    assert rep.summary["flagged"] == 2
+    assert rep.summary["exceed_count"] >= 2
+    assert rep.summary["median_wce_sq"] == statistics.median(
+        r["wce_sq"] for r in recs if not r["flagged"])
+
+
+def test_sweep_point_with_all_trials_flagged_has_nan_medians(monkeypatch,
+                                                             tmp_path):
+    # one trial per grid point: points 0 and 2 flag entirely, 1 and 3 not
+    _flag_alternate_calls(monkeypatch)
+    sweep = ex.run(build("""
+kind = sweep
+basis = fourier
+decay = poly
+s = 1.0
+density = spectral-mix
+n_grid = 128,256,512,1024
+r = 2.0
+trials = 1
+seed = 6
+trunc = 128
+"""))
+    assert [row[sweep.header.index("flagged")] for row in sweep.rows] == [
+        1, 0, 1, 0]
+    sweep.write(tmp_path / "sweep")
+    with open(tmp_path / "sweep" / "table.csv", newline="") as fh:
+        table = list(csv.DictReader(fh))
+    for gi, row in enumerate(table):
+        for key in ("median_wce_sq", "median_upper_sq"):
+            assert math.isnan(float(row[key])) == (gi % 2 == 0), (gi, key)
 
 
 def test_write_outputs(tmp_path):

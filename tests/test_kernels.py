@@ -1,4 +1,5 @@
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -90,6 +91,46 @@ def test_eval_block_windows_consistent(name):
     for lo, hi in ((1, 3), (7, 19), (30, 41)):
         part = basis.eval_block(np.arange(lo, hi), x)
         np.testing.assert_allclose(part, whole[:, lo - 1:hi - 1], atol=1e-14)
+
+
+def _phase(x, f, period):
+    """f * x mod period in exact rational arithmetic, so the reference values
+    carry no argument-reduction error at high frequency."""
+    return np.array([[float(Fraction(xi) * int(fi) % period) for fi in f]
+                     for xi in x])
+
+
+@pytest.mark.parametrize("lo, hi", [(1, 2101), (1025, 1031), (1500, 2101)])
+def test_eval_block_wide_blocks_match_closed_forms(lo, hi):
+    # one rotation table spans the whole window, past 1024 columns
+    rng = np.random.default_rng(11)
+    x = np.concatenate([[0.0, 0.5, 1.0], rng.random(9)])
+    ks = np.arange(lo, hi)
+    fb = get_basis("fourier")
+    want = np.exp(2j * math.pi * _phase(x, fb.frequency(ks), 1))
+    np.testing.assert_allclose(fb.eval_block(ks, x), want,
+                               rtol=0.0, atol=1e-12)
+    # 1e-12 relative to the sup norm sqrt(2): rounding pi * x alone moves
+    # cos(pi f x) by up to pi f eps, about 7e-13 at f = 2100
+    f = ks - 1
+    want = np.where(f == 0, 1.0,
+                    math.sqrt(2.0) * np.cos(math.pi * _phase(x, f, 2)))
+    np.testing.assert_allclose(get_basis("cosine").eval_block(ks, x), want,
+                               rtol=0.0, atol=1e-12 * math.sqrt(2.0))
+
+
+@pytest.mark.parametrize("m", [1, 2, 3, 20, 200])
+def test_cosine_spectral_sum_at_matches_cosine_squares(m):
+    rng = np.random.default_rng(12)
+    x = np.concatenate([[0.0, 0.5, 1.0], rng.random(9)]).reshape(3, 4)
+    want = np.zeros(x.shape)
+    if m >= 2:
+        want += 1.0
+        for j in range(1, m - 1):
+            want += 2.0 * np.cos(math.pi * j * x) ** 2
+    got = get_basis("cosine").spectral_sum_at(m, x)
+    assert got.shape == x.shape
+    np.testing.assert_allclose(got, want, rtol=1e-12, atol=0.0)
 
 
 def test_tail_sums_pinned():
