@@ -25,7 +25,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import DegenerateDensityError, DomainError
+from .errors import DegenerateDensityError, DomainError, TruncationError
 from .kernels import TWO_PI, GeometricDecay, SobolevDecay, grid_maximum
 
 _TAIL_TABLE_CAP = 1 << 16
@@ -89,8 +89,12 @@ class SamplingDensity:
 
     # -- mixture structure ---------------------------------------------------
 
-    def _tail_mass(self):
-        return self.model.tail_sum(self.m) if self.m is not None else 0.0
+    def _tail_term(self, term):
+        """(first eigen index, bundled atom mass) of a tail-shaped term: the
+        eigenvalue tail from that index plus an atom.  The "tail" term of
+        spectral-mix-atom bundles none; its atom is a term of its own."""
+        atom = 0.0 if term == "tail" else self.model.atom_mass
+        return (1 if term == "diag" else self.m), atom
 
     def _term_weights(self):
         """Mixture term -> weight.  Zero-mass terms are dropped."""
@@ -101,13 +105,13 @@ class SamplingDensity:
             return {"diag": 1.0}
         if self.kind == "spectral-mix":
             # second term bundles the remaining trace: eigen tail plus atom
-            rest = self._tail_mass() + atom
+            rest = self.model.tail_sum(self.m) + atom
             if rest <= 0.0:
                 return {"spectral": 1.0}
             return {"spectral": 0.5, "rest": 0.5}
         # spectral-mix-atom
         terms = ["spectral"]
-        if self._tail_mass() > 0.0:
+        if self.model.tail_sum(self.m) > 0.0:
             terms.append("tail")
         if atom > 0.0:
             terms.append("atom")
@@ -127,15 +131,13 @@ class SamplingDensity:
                 out[term] = np.ones(x.shape)
             elif term == "spectral":
                 out[term] = model.basis.spectral_sum_at(self.m, x) / (self.m - 1)
-            elif term == "tail":
-                v, _ = model.tail_energy_at(self.m, x)
-                out[term] = v / self._tail_mass()
-            elif term == "rest":
-                v, _ = model.tail_energy_at(self.m, x)
-                out[term] = (v + model.atom_mass) / (self._tail_mass()
-                                                     + model.atom_mass)
-            elif term == "diag":
-                out[term] = model.diag_value(x) / model.trace
+            else:
+                start, atom = self._tail_term(term)
+                v, res = model.tail_energy_at(start, x)
+                if res > model.eps_trunc:
+                    raise TruncationError(
+                        "tail series residual %.3e > eps" % res)
+                out[term] = (v + atom) / (model.tail_sum(start) + atom)
         return out
 
     def evaluate(self, x):
@@ -236,15 +238,10 @@ class SamplingDensity:
                     freq = j - 1 if model.basis.name == "cosine" else 0
                     acc += self._component_cdf(freq, x)
                 total += w * acc / (self.m - 1)
-            elif term == "tail":
-                total += w * self._tail_cdf_series(self.m, x) / self._tail_mass()
-            elif term == "rest":
-                mass = self._tail_mass() + model.atom_mass
-                total += w * (model.atom_mass * x
-                              + self._tail_cdf_series(self.m, x)) / mass
-            elif term == "diag":
-                total += w * (model.atom_mass * x
-                              + self._tail_cdf_series(1, x)) / model.trace
+            else:
+                start, atom = self._tail_term(term)
+                total += w * (atom * x + self._tail_cdf_series(start, x)) / (
+                    model.tail_sum(start) + atom)
         return total
 
     # -- sampling ------------------------------------------------------------
@@ -320,26 +317,19 @@ class SamplingDensity:
             elif term == "spectral":
                 idx = rng.integers(1, self.m, size=k)
                 x[mask] = self._coordinate_for_indices(rng, idx)
-            elif term == "tail":
-                idx = self._sample_tail_indices(rng, k, self.m)
-                x[mask] = self._coordinate_for_indices(rng, idx)
-            elif term == "rest":
-                mass = self._tail_mass() + model.atom_mass
-                is_atom = rng.random(k) < (model.atom_mass / mass)
+            else:
+                start, atom = self._tail_term(term)
+                is_atom = np.zeros(k, dtype=bool)
+                # every term that bundles an atom draws its coin, even at
+                # mass 0: the node stream of a seed depends on it
+                if term != "tail":
+                    is_atom = rng.random(k) < atom / (model.tail_sum(start)
+                                                      + atom)
                 ka = int(np.count_nonzero(is_atom))
                 vals = np.empty(k)
                 vals[is_atom] = rng.random(ka)
                 if k - ka:
-                    idx = self._sample_tail_indices(rng, k - ka, self.m)
-                    vals[~is_atom] = self._coordinate_for_indices(rng, idx)
-                x[mask] = vals
-            elif term == "diag":
-                is_atom = rng.random(k) < (model.atom_mass / model.trace)
-                ka = int(np.count_nonzero(is_atom))
-                vals = np.empty(k)
-                vals[is_atom] = rng.random(ka)
-                if k - ka:
-                    idx = self._sample_tail_indices(rng, k - ka, 1)
+                    idx = self._sample_tail_indices(rng, k - ka, start)
                     vals[~is_atom] = self._coordinate_for_indices(rng, idx)
                 x[mask] = vals
         return x, tally
@@ -444,16 +434,6 @@ class NormalizedKernelView:
         v, res = self.model.tail_energy_at(m, x)
         rho = self.density.evaluate(x)
         return v / rho, res
-
-    def diag(self, x):
-        x = np.atleast_1d(np.asarray(x, dtype=float))
-        return self.model.diag_value(x) / self.density.evaluate(x)
-
-    def kernel(self, x, y):
-        k = self.model.eval_kernel(x, y)
-        rx = self.density.evaluate(x)[0]
-        ry = self.density.evaluate(y)[0]
-        return k / math.sqrt(rx * ry)
 
     def spectral_sum_grid_max(self, m, npts=100001):
         return grid_maximum(lambda x: self.spectral_sum(m, x), npts)

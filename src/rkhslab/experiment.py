@@ -26,8 +26,8 @@ from .kernels import (ExplicitEigenvalues, GeometricDecay, PolynomialDecay,
                       SobolevDecay, SpectralKernelModel)
 from .leastsq import assemble_design, gram_eig_check
 from .worstcase import (FAIL_MULT, bound, choose_m, exact_wce_discretization,
-                        exact_wce_recovery, max_m_under, model_bound_inputs,
-                        wce_nullspace_component)
+                        exact_wce_recovery, fail_prob, max_m_under,
+                        model_bound_inputs, wce_nullspace_component)
 
 M_RULES = ("fixed", "auto", "max-cond-7", "max-cond-10")
 _SWEEP_STREAM_STRIDE = 1_000_000
@@ -390,7 +390,7 @@ def run_recover(cfg):
             for i in range(cfg.trials)]
     usable = [r for r in recs if not r["flagged"]]
     exceed = sum(r["exceeded"] for r in recs)
-    budget = FAIL_MULT * float(n) ** (1.0 - cfg.r)
+    budget = fail_prob(n, cfg.r, FAIL_MULT)
     rate, ok = within_budget(exceed, cfg.trials, budget)
     summary = {
         "n": n, "m": m, "trials": cfg.trials,
@@ -460,7 +460,7 @@ def run_discretize(cfg):
 
     recs = [trial(i) for i in range(cfg.trials)]
     exceed = sum(r["exceeded"] for r in recs)
-    budget = 2.0 * float(n) ** (1.0 - cfg.r)
+    budget = fail_prob(n, cfg.r, 2.0)
     rate, ok = within_budget(exceed, cfg.trials, budget)
     summary = {
         "n": n, "trials": cfg.trials, "weighted": cfg.weighted,
@@ -500,8 +500,8 @@ def run_eigcheck(cfg):
                 "norm_ok": int(chk["norm_ok"])}
 
     recs = [trial(i) for i in range(cfg.trials)]
-    eig_budget = float(n) ** (1.0 - cfg.r)
-    norm_budget = 2.0 * float(n) ** (1.0 - cfg.r)
+    eig_budget = fail_prob(n, cfg.r)
+    norm_budget = fail_prob(n, cfg.r, 2.0)
     eig_rate, eig_ok = within_budget(sum(1 for r in recs if not r["eig_ok"]),
                                      cfg.trials, eig_budget)
     norm_rate, norm_ok = within_budget(
@@ -555,7 +555,7 @@ def run_concentration(cfg):
     ok = all(within_budget(int(np.count_nonzero(devs >= c["t"])), cfg.trials,
                            c["envelope"])[1] for c in live)
     thr = deviation_threshold(n, cfg.r, family.m_bound, family.lambda_op)
-    thr_budget = 2.0 ** 0.75 * float(n) ** (1.0 - cfg.r)
+    thr_budget = fail_prob(n, cfg.r, 2.0 ** 0.75)
     thr_rate, thr_ok = within_budget(int(np.count_nonzero(devs >= thr)),
                                      cfg.trials, thr_budget)
     summary = {

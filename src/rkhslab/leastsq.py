@@ -71,11 +71,6 @@ class Coefficients:
     values: np.ndarray
     residual_norm: float
 
-    def evaluate(self, basis, x):
-        """The fitted function at x."""
-        block = basis.eval_block(np.arange(1, self.values.size + 1), x)
-        return block @ self.values
-
 
 def assemble_design(model, density, nodes, m):
     """Build the weighted design and its Gram spectral data.

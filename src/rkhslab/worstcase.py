@@ -8,9 +8,9 @@ when the value is compared against a theoretical bound.
 
 The error matrix has the block form [[A, B], [0, D]] with m-1 dense rows and
 a diagonal tail, so its Gram is diagonal-plus-low-rank.  The largest
-eigenvalue then comes from a one-dimensional secular equation, which keeps
-large truncation orders cheap; the dense SVD path below stays as the
-reference method for moderate N.
+eigenvalue then comes from a one-dimensional secular equation at every
+truncation order (Golub 1973); the dense matrix itself is only built by
+``recovery_error_matrix``, the oracle the tests take the SVD of.
 """
 
 import math
@@ -29,7 +29,6 @@ KAPPA_SQ = KAPPA * KAPPA
 # multiplier in the recovery failure probability FAIL_MULT * n^(1-r)
 FAIL_MULT = 2.0 ** 0.75 + 1.0
 
-_DENSE_RECOVERY = 600
 _DENSE_DISCRETIZE = 1024
 _TRUNC_CAP = 4096
 
@@ -126,7 +125,9 @@ def _lowrank_plus_diag_norm(d, C):
 
     Eigenvalues above max(d) solve lambda_max(C (mu I - diag d)^{-1} C*) = 1;
     the left side decreases in mu, so bisection between max(d) and
-    max(d) + ||C||^2 nails the top one.
+    max(d) + ||C||^2 nails the top one.  The first probe sits 1e-13 above
+    max(d) relative to the larger of max(d) and ||C||^2, never in absolute
+    terms, so a top eigenvalue far below 1 is not rounded down to max(d).
     """
     d = np.asarray(d, dtype=float)
     gram_small = C @ C.conj().T
@@ -142,7 +143,7 @@ def _lowrank_plus_diag_norm(d, C):
         w = 0.5 * (w + w.conj().T)
         return float(np.linalg.eigvalsh(w)[-1])
 
-    scale = max(d_max, big, 1.0)
+    scale = max(d_max, big)
     probe = d_max + 1e-13 * scale
     if wmax(probe) < 1.0:
         return d_max
@@ -183,7 +184,7 @@ def _recovery_parts(model, density, nodes, m, trunc, design):
     return ds, C, d, sig, N, resid
 
 
-def _dense_error_matrix(C, d, sig, m, N):
+def _dense_error_matrix(C, sig, m, N):
     E = np.zeros((N, N), dtype=C.dtype)
     E[: m - 1, :] = C
     idx = np.arange(m - 1, N)
@@ -198,11 +199,11 @@ def _dense_error_matrix(C, d, sig, m, N):
 
 def recovery_error_matrix(model, density, nodes, m, trunc=None, design=None):
     """Dense error operator; meant for small N (tests and oracles)."""
-    ds, C, d, sig, N, resid = _recovery_parts(model, density, nodes, m,
+    ds, C, _, sig, N, resid = _recovery_parts(model, density, nodes, m,
                                               trunc, design)
     if N > 2000:
         raise ValueError("dense error matrix capped at N=2000, got %d" % N)
-    return ErrorMatrix(matrix=_dense_error_matrix(C, d, sig, m, N),
+    return ErrorMatrix(matrix=_dense_error_matrix(C, sig, m, N),
                        residual=resid)
 
 
@@ -210,14 +211,9 @@ def exact_wce_recovery(model, density, nodes, m, trunc=None, design=None):
     """Exact squared worst-case L2 recovery error over the truncated ball."""
     ds, C, d, sig, N, resid = _recovery_parts(model, density, nodes, m,
                                               trunc, design)
-    if N <= _DENSE_RECOVERY:
-        E = _dense_error_matrix(C, d, sig, m, N)
-        top = float(np.linalg.svd(E, compute_uv=False)[0])
-        value_sq = top * top
-    else:
-        value_sq = _lowrank_plus_diag_norm(d, C)
-    return WceValue(value_sq=value_sq, residual=resid, trunc_dim=N,
-                    lambda_min=ds.lambda_min, pinv_norm=ds.pinv_norm())
+    return WceValue(value_sq=_lowrank_plus_diag_norm(d, C), residual=resid,
+                    trunc_dim=N, lambda_min=ds.lambda_min,
+                    pinv_norm=ds.pinv_norm())
 
 
 _EIGSH_SEED = np.random.SeedSequence(9001)

@@ -6,8 +6,8 @@ from scipy.integrate import quad
 
 from rkhslab import (DegenerateDensityError, ExplicitEigenvalues,
                      PolynomialDecay, SamplingDensity, SobolevDecay,
-                     SpectralKernelModel, draw_nodes, get_basis,
-                     nodes_from_points, trial_rng)
+                     SpectralKernelModel, TruncationError, draw_nodes,
+                     get_basis, nodes_from_points, trial_rng)
 from rkhslab.densities import NormalizedKernelView, invert_cosine_component_cdf
 
 
@@ -177,6 +177,17 @@ def test_nodes_from_points_evaluates_density():
     nodes = nodes_from_points(d, x)
     np.testing.assert_allclose(nodes.density_values, d.evaluate(x))
     assert nodes.n == 3
+
+
+@pytest.mark.parametrize("kind", ["spectral-mix", "spectral-mix-atom",
+                                  "kernel-diag"])
+def test_tail_terms_raise_on_residual_above_eps(kind):
+    # the cosine tail series of k^-2 has no closed form; its pointwise
+    # residual (7.6e-6 from m = 5) is far above eps_trunc
+    model = SpectralKernelModel(get_basis("cosine"), PolynomialDecay(1.0))
+    d = SamplingDensity(model, kind, m=5)
+    with pytest.raises(TruncationError):
+        d.evaluate(np.array([0.1, 0.6]))
 
 
 def test_normalized_view_budgets():

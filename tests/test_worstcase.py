@@ -4,7 +4,8 @@ import numpy as np
 import pytest
 
 from rkhslab import (BOUND_NAMES, FAIL_MULT, KAPPA, KAPPA_SQ,
-                     ExplicitEigenvalues, PolynomialDecay, SamplingDensity,
+                     ExplicitEigenvalues, GeometricDecay, PolynomialDecay,
+                     SamplingDensity,
                      SobolevDecay, SpectralKernelModel, assemble_design,
                      bound, choose_m, draw_nodes, exact_wce_discretization,
                      exact_wce_recovery, fail_prob, get_basis, max_m_under,
@@ -126,6 +127,30 @@ def test_recovery_dense_vs_secular():
     assert secular.value_sq >= dense.value_sq - 1e-12
     assert secular.residual <= dense.residual
     assert secular.upper_sq >= secular.value_sq
+
+
+@pytest.mark.parametrize("case, m, trunc", [
+    # top eigenvalue ~1e-14, within 1e-13 of the largest tail eigenvalue
+    ("geometric", 8, 20), ("geometric", 8, 700),
+    ("poly-spectral-mix", 4, 450),
+    # N = m-1: the fit is exact, so the value is zero
+    ("geometric", 8, 7), ("poly-spectral-mix", 4, 3),
+])
+def test_recovery_secular_matches_dense_oracle(case, m, trunc):
+    if case == "geometric":
+        model = SpectralKernelModel(get_basis("fourier"), GeometricDecay(0.01))
+        density = SamplingDensity(model, "plain")
+        nodes = draw_nodes(density, 100, seed=1)
+    else:
+        model, density, nodes = wce_setup(n=40, m=m, seed=2)
+    wce = exact_wce_recovery(model, density, nodes, m, trunc=trunc)
+    em = recovery_error_matrix(model, density, nodes, m, trunc=trunc)
+    top = float(np.linalg.svd(em.matrix, compute_uv=False)[0])
+    assert wce.trunc_dim == trunc
+    if trunc == m - 1:
+        assert wce.value_sq <= 1e-25
+    else:
+        assert abs(wce.value_sq - top * top) <= 1e-10 * top * top
 
 
 def test_recovery_value_bounded_by_single_function():
