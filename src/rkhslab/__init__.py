@@ -12,13 +12,13 @@ from .densities import (NodeSet, NormalizedKernelView, SamplingDensity,
                         draw_nodes, nodes_from_points, trial_rng)
 from .leastsq import (Coefficients, DesignSystem, assemble_design,
                       dump_design, gram_eig_check, recover)
-from .worstcase import (BOUND_NAMES, FAIL_MULT, KAPPA, KAPPA_SQ, BoundReport,
-                        bound, choose_m, exact_wce_discretization,
-                        exact_wce_recovery, fail_prob, max_m_under,
+from .worstcase import (BOUND_NAMES, FAIL_MULT, BoundReport, bound, choose_m,
+                        exact_wce_discretization, exact_wce_recovery,
+                        fail_prob, max_m_under,
                         mc_sup_quadratic, mc_sup_singular,
                         model_bound_inputs, power_iteration_norm,
                         recovery_error_matrix, wce_nullspace_component)
-from .concentration import (WILSON_Z, KernelVectorFamily,
+from .concentration import (KAPPA, KAPPA_SQ, WILSON_Z, KernelVectorFamily,
                             SphereVectorFamily, TailExperiment,
                             TwoPointVectorFamily, chernoff_c, chernoff_d,
                             default_t_grid, deviation_threshold,

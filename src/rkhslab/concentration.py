@@ -17,6 +17,12 @@ from .densities import trial_rng
 
 # 99% two-sided normal quantile for Wilson intervals
 WILSON_Z = 2.5758293035489004
+KAPPA = (1.0 + math.sqrt(5.0)) / 2.0
+KAPPA_SQ = KAPPA * KAPPA
+# the all-in-one deviation level; fail_mult is its failure-probability
+# multiplier fail_mult * n^(1-r)
+DEVIATION_CONSTANTS = {"log_coef": 8.0, "kappa_sq": KAPPA_SQ,
+                       "fail_mult": 2.0 ** 0.75}
 
 _NORM_SLACK = 1.0 + 1e-12
 
@@ -119,11 +125,15 @@ def tail_envelope(n, t, m_bound):
     return min(1.0, val)
 
 
+def deviation_level(k, m_sq, lambda_op_norm, n, r):
+    """max(8 r log(n) / n * M^2 kappa^2, ||Lambda||) with the constants k."""
+    return max(k["log_coef"] * r * math.log(n) / n * m_sq * k["kappa_sq"],
+               lambda_op_norm)
+
+
 def deviation_threshold(n, r, m_bound, lambda_op):
     """The all-in-one deviation level exceeded with prob <= 2^(3/4) n^(1-r)."""
-    kappa_sq = ((1.0 + math.sqrt(5.0)) / 2.0) ** 2
-    return max(8.0 * r * math.log(n) / n * m_bound ** 2 * kappa_sq,
-               lambda_op)
+    return deviation_level(DEVIATION_CONSTANTS, m_bound ** 2, lambda_op, n, r)
 
 
 def default_t_grid(family, n, points=10):

@@ -16,7 +16,8 @@ Sampling is exact mixture sampling with a fixed RNG consumption order so that
 identical (seed, stream) pairs reproduce identical nodes bit for bit.  The
 rare draws whose tail index falls beyond the cached cumulative table are
 resolved by binary search on the closed-form eigenvalue tail, so slow decay
-does not bias the sampler.
+does not bias the sampler; one whose index would pass 2^62 raises
+TruncationError instead of being capped.
 """
 
 import csv
@@ -258,24 +259,6 @@ class SamplingDensity:
             self._tail_table = (m_start, ks, cum, total)
         return self._tail_table
 
-    def _deep_tail_index(self, m_start, u, total):
-        """Exact inverse CDF for a single deep draw: smallest K with
-        tail(m) - tail(K+1) >= u * tail(m)."""
-        target = (1.0 - u) * total
-        lo = m_start
-        hi = m_start + _TAIL_TABLE_CAP
-        while self.model.tail_sum(hi + 1) > target:
-            lo, hi = hi, hi * 2
-            if hi > 1 << 62:
-                return lo
-        while lo < hi:
-            mid = (lo + hi) // 2
-            if self.model.tail_sum(mid + 1) <= target:
-                hi = mid
-            else:
-                lo = mid + 1
-        return lo
-
     def _sample_tail_indices(self, rng, count, m_start):
         m0, ks, cum, total = self._tail_index_table(m_start)
         u = rng.random(count)
@@ -283,8 +266,10 @@ class SamplingDensity:
         out = np.empty(count, dtype=np.int64)
         inside = pos < ks.size
         out[inside] = ks[pos[inside]]
+        # a draw past the table inverts the closed-form tail: the smallest K
+        # with tail(K+1) <= (1 - u) tail(m_start)
         for i in np.nonzero(~inside)[0]:
-            out[i] = self._deep_tail_index(m_start, float(u[i]), total)
+            out[i] = self.model.rule.index_for_tail((1.0 - u[i]) * total)
         return out
 
     def _coordinate_for_indices(self, rng, eigen_idx):

@@ -16,10 +16,10 @@ from dataclasses import MISSING, dataclass, field, fields
 import numpy as np
 
 from . import __version__
-from .concentration import (KernelVectorFamily, SphereVectorFamily,
-                            TailExperiment, TwoPointVectorFamily, binom_se,
-                            default_t_grid, deviation_threshold,
-                            spectral_budget)
+from .concentration import (DEVIATION_CONSTANTS, KernelVectorFamily,
+                            SphereVectorFamily, TailExperiment,
+                            TwoPointVectorFamily, binom_se, default_t_grid,
+                            deviation_threshold, spectral_budget)
 from .densities import SamplingDensity, draw_nodes
 from .errors import ConfigError, DegenerateDensityError, RankDeficientError
 from .kernels import (ExplicitEigenvalues, GeometricDecay, PolynomialDecay,
@@ -27,7 +27,8 @@ from .kernels import (ExplicitEigenvalues, GeometricDecay, PolynomialDecay,
 from .leastsq import assemble_design, gram_eig_check
 from .worstcase import (FAIL_MULT, bound, choose_m, exact_wce_discretization,
                         exact_wce_recovery, fail_prob, max_m_under,
-                        model_bound_inputs, wce_nullspace_component)
+                        mode_budget, model_bound_inputs,
+                        wce_nullspace_component)
 
 M_RULES = ("fixed", "auto", "max-cond-7", "max-cond-10")
 _SWEEP_STREAM_STRIDE = 1_000_000
@@ -508,7 +509,7 @@ def run_eigcheck(cfg):
         sum(1 for r in recs if not r["norm_ok"]), cfg.trials, norm_budget)
     # the norm window is only guaranteed under the tighter spectral budget
     window_applicable = (spectral_budget(model, cfg.density, m)
-                         <= n / (10.0 * cfg.r * math.log(n)))
+                         <= mode_budget(n, cfg.r, 10.0))
     summary = {
         "n": n, "m": m, "trials": cfg.trials,
         "eig_fail_rate": eig_rate, "eig_fail_bound": eig_budget,
@@ -555,7 +556,7 @@ def run_concentration(cfg):
     ok = all(within_budget(int(np.count_nonzero(devs >= c["t"])), cfg.trials,
                            c["envelope"])[1] for c in live)
     thr = deviation_threshold(n, cfg.r, family.m_bound, family.lambda_op)
-    thr_budget = fail_prob(n, cfg.r, 2.0 ** 0.75)
+    thr_budget = fail_prob(n, cfg.r, DEVIATION_CONSTANTS["fail_mult"])
     thr_rate, thr_ok = within_budget(int(np.count_nonzero(devs >= thr)),
                                      cfg.trials, thr_budget)
     summary = {

@@ -414,27 +414,14 @@ class CosineBasis:
         """Product expansion: 2 cos(a) cos(b) = cos(a-b) + cos(a+b)."""
         x = float(x)
         y = float(y)
-        lam1 = rule.value(1)
-        if rule.name in ("sobolev", "geometric") and (
-                rule.name == "geometric" or rule.s == 1.0):
-            # series over frequencies j >= 1 of lambda_{j+1} cos(j theta)
-            def series(theta):
-                v, _ = self._osc_tail(rule, 2, np.asarray([theta]))
-                return float(v[0])
-            val = lam1 + series(math.pi * (x - y)) + series(math.pi * (x + y))
-            return complex(val), 0.0
-        cut = rule.rank if rule.rank is not None else 1 << 17
-        residual = 2.0 * rule.tail(cut + 1)
+        osc, res = self._osc_tail(rule, 2, np.asarray([math.pi * (x - y),
+                                                       math.pi * (x + y)]))
+        residual = 2.0 * res
         if residual > eps:
             raise TruncationError(
                 "off-diagonal kernel series for rule %r cannot reach eps=%.3e"
                 % (rule.name, eps))
-        ks = np.arange(1, cut + 1)
-        lam = rule.values(ks)
-        keep = lam > 0.0
-        ks, lam = ks[keep], lam[keep]
-        fx, fy = self.eval_block(ks, [x, y])
-        return complex(np.sum(lam * fx * np.conj(fy))), residual
+        return complex(rule.value(1) + osc[0] + osc[1]), residual
 
 
 def _cos_series_inverse_sq(theta):

@@ -20,12 +20,11 @@ import numpy as np
 from scipy.linalg import cho_factor, cho_solve
 from scipy.sparse.linalg import LinearOperator, eigsh
 
-from .concentration import spectral_budget
+from .concentration import (DEVIATION_CONSTANTS, KAPPA_SQ, deviation_level,
+                            spectral_budget)
 from .errors import RankDeficientError
 from .leastsq import assemble_design
 
-KAPPA = (1.0 + math.sqrt(5.0)) / 2.0
-KAPPA_SQ = KAPPA * KAPPA
 # multiplier in the recovery failure probability FAIL_MULT * n^(1-r)
 FAIL_MULT = 2.0 ** 0.75 + 1.0
 
@@ -402,18 +401,26 @@ def fail_prob(n, r, mult=1.0):
     return mult * float(n) ** (1.0 - float(r))
 
 
+def mode_budget(n, r, c):
+    """n / (c r log n): the spectral budget that a mode count may use."""
+    return n / (c * float(r) * math.log(n))
+
+
+_CHOOSE_M = {"denom_coef": 14.0}
+
+
 def choose_m(n, r):
     """Default mode count floor(n / (14 r log n))."""
     n = int(n)
     if n < 3:
         raise ValueError("n must be at least 3")
-    return int(n / (14.0 * float(r) * math.log(n)))
+    return int(mode_budget(n, r, _CHOOSE_M["denom_coef"]))
 
 
 def max_m_under(model, n, r, c=7.0, density_kind=None, m_cap=None):
     """Largest m >= 2 whose spectral budget for density_kind (see
     ``spectral_budget``) stays below n / (c r log n)."""
-    budget = n / (c * float(r) * math.log(n))
+    budget = mode_budget(n, r, c)
     cap = m_cap if m_cap is not None else n + 1
     best = None
     m = 2
@@ -426,111 +433,104 @@ def max_m_under(model, n, r, c=7.0, density_kind=None, m_cap=None):
     return best
 
 
+# Each bound formula takes its constants k, then the inputs it needs by name,
+# and returns (value, notes).
+
+
+def _discretize_sup(k, embedding_norm, sup_norm, n, r):
+    value = embedding_norm * sup_norm * math.sqrt(k["inside"] * r
+                                                  * math.log(n) / n)
+    thr = (k["inside"] * r * sup_norm ** 2 / embedding_norm ** 2
+           if embedding_norm > 0 else math.inf)
+    return value, {"threshold_ok": bool(n / math.log(n) >= thr),
+                   "threshold": thr}
+
+
+def _baseline_scan(k, rule, trace, n):
+    """min over l of sigma_l^2 + trace * l / n, scanned until the linear
+    term alone exceeds the best value."""
+    best = math.inf
+    arg = 1
+    ell = 1
+    while True:
+        linear = trace * ell / n
+        if linear >= best:
+            break
+        cand = rule.value(ell) + linear
+        if cand < best:
+            best = cand
+            arg = ell
+        ell += 1
+    return best, {"argmin": arg}
+
+
+def _baseline_p2(k, trace, n):
+    center = max(1, int(round(math.sqrt(n))))
+    cands = {max(1, center + d) for d in range(-2, 3)} | {1}
+    value, arg = min((trace / ell + trace * ell / n, ell) for ell in cands)
+    return value, {"argmin": arg}
+
+
+_BOUNDS = {
+    "recovery-tail-sup": (
+        {"lead": 5.0, "log_coef": 8.0, "kappa_sq": KAPPA_SQ},
+        lambda k, sigma_m_sq, tail_weighted_sup, n, r: (k["lead"] * max(
+            sigma_m_sq, k["log_coef"] * r * math.log(n) / n
+            * tail_weighted_sup * k["kappa_sq"]), {})),
+    "recovery-tail-sum": (
+        {"lead": 5.0, "log_coef": 16.0, "kappa_sq": KAPPA_SQ},
+        lambda k, sigma_m_sq, tail_sum, n, r: (k["lead"] * max(
+            sigma_m_sq, k["log_coef"] * r * k["kappa_sq"] * math.log(n) / n
+            * tail_sum), {})),
+    "recovery-half-tail": (
+        {"lead": 15.0},
+        lambda k, m, half_tail_sum: (k["lead"] / m * half_tail_sum, {})),
+    "recovery-atom": (
+        {"lead": 441.0},
+        lambda k, sigma_m_sq, tail_sum, atom_mass, n, r: (k["lead"] * max(
+            sigma_m_sq, r * math.log(n) / n * tail_sum, atom_mass / n), {})),
+    "discretize-sup": ({"inside": 21.0}, _discretize_sup),
+    "discretize-trace": (
+        {"inside": 21.0},
+        lambda k, trace, embedding_norm, n, r: (math.sqrt(
+            k["inside"] * trace * embedding_norm ** 2 * r * math.log(n) / n),
+            {})),
+    "discretize-sup-final": (
+        {"lead": 8.0},
+        lambda k, sup_diag, n, r: (
+            k["lead"] * math.sqrt(r * math.log(n) / n) * sup_diag, {})),
+    "discretize-trace-final": (
+        {"lead": 8.0},
+        lambda k, trace, n, r: (
+            k["lead"] * trace * math.sqrt(r * math.log(n) / n), {})),
+    "deviation-threshold": (
+        DEVIATION_CONSTANTS,
+        lambda k, m_sq, lambda_op_norm, n, r: (
+            deviation_level(k, m_sq, lambda_op_norm, n, r), {})),
+    "baseline-scan": ({}, _baseline_scan),
+    "baseline-p2": ({}, _baseline_p2),
+    "choose-m": (
+        _CHOOSE_M, lambda k, n, r: (float(choose_m(int(n), r)), {})),
+}
+BOUND_NAMES = tuple(_BOUNDS)
+
+
 def bound(name, **inputs):
     """Evaluate a named bound formula; natural logs throughout."""
-    get = inputs.get
-
-    def need(*keys):
-        missing = [k for k in keys if get(k) is None]
-        if missing:
-            raise ValueError("bound %r needs inputs %s" % (name, missing))
-        return [float(inputs[k]) for k in keys]
-
-    notes = {}
-    if name == "recovery-tail-sup":
-        s_sq, t_sup, n, r = need("sigma_m_sq", "tail_weighted_sup", "n", "r")
-        alt = 8.0 * r * math.log(n) / n * t_sup * KAPPA_SQ
-        value = 5.0 * max(s_sq, alt)
-        constants = {"lead": 5.0, "log_coef": 8.0, "kappa_sq": KAPPA_SQ}
-    elif name == "recovery-tail-sum":
-        s_sq, t_sum, n, r = need("sigma_m_sq", "tail_sum", "n", "r")
-        alt = 16.0 * r * KAPPA_SQ * math.log(n) / n * t_sum
-        value = 5.0 * max(s_sq, alt)
-        constants = {"lead": 5.0, "log_coef": 16.0, "kappa_sq": KAPPA_SQ}
-    elif name == "recovery-half-tail":
-        m, half = need("m", "half_tail_sum")
-        value = 15.0 / m * half
-        constants = {"lead": 15.0}
-    elif name == "recovery-atom":
-        s_sq, t_sum, atom, n, r = need("sigma_m_sq", "tail_sum", "atom_mass",
-                                       "n", "r")
-        value = 441.0 * max(s_sq, r * math.log(n) / n * t_sum, atom / n)
-        constants = {"lead": 441.0}
-    elif name == "recovery-intermediate":
-        s_sq, t_sup, m0_sq, n, r = need("sigma_m_sq", "tail_weighted_sup",
-                                        "m0_sq", "n", "r")
-        value = 7.0 * max(s_sq, 8.0 * r * math.log(n) / n * t_sup * KAPPA_SQ,
-                          8.0 * m0_sq * KAPPA_SQ / n)
-        constants = {"lead": 7.0, "log_coef": 8.0, "kappa_sq": KAPPA_SQ}
-    elif name == "discretize-sup":
-        emb, sup_nrm, n, r = need("embedding_norm", "sup_norm", "n", "r")
-        value = emb * sup_nrm * math.sqrt(21.0 * r * math.log(n) / n)
-        constants = {"inside": 21.0}
-        thr = 21.0 * r * sup_nrm ** 2 / emb ** 2 if emb > 0 else math.inf
-        notes["threshold_ok"] = bool(n / math.log(n) >= thr)
-        notes["threshold"] = thr
-    elif name == "discretize-trace":
-        tr, emb, n, r = need("trace", "embedding_norm", "n", "r")
-        value = math.sqrt(21.0 * tr * emb ** 2 * r * math.log(n) / n)
-        constants = {"inside": 21.0}
-    elif name == "discretize-sup-final":
-        sup_diag, n, r = need("sup_diag", "n", "r")
-        value = 8.0 * math.sqrt(r * math.log(n) / n) * sup_diag
-        constants = {"lead": 8.0}
-    elif name == "discretize-trace-final":
-        tr, n, r = need("trace", "n", "r")
-        value = 8.0 * tr * math.sqrt(r * math.log(n) / n)
-        constants = {"lead": 8.0}
-    elif name == "deviation-threshold":
-        m_sq, lam_norm, n, r = need("m_sq", "lambda_op_norm", "n", "r")
-        value = max(8.0 * r * math.log(n) / n * m_sq * KAPPA_SQ, lam_norm)
-        constants = {"log_coef": 8.0, "kappa_sq": KAPPA_SQ,
-                     "fail_mult": 2.0 ** 0.75}
-    elif name == "baseline-scan":
-        rule = inputs.get("rule")
-        if rule is None:
-            raise ValueError("bound 'baseline-scan' needs inputs ['rule']")
-        tr, n = need("trace", "n")
-        best = math.inf
-        arg = 1
-        ell = 1
-        while True:
-            linear = tr * ell / n
-            if linear >= best:
-                break
-            cand = rule.value(ell) + linear
-            if cand < best:
-                best = cand
-                arg = ell
-            ell += 1
-        value = best
-        notes["argmin"] = arg
-        constants = {}
-    elif name == "baseline-p2":
-        tr, n = need("trace", "n")
-        center = max(1, int(round(math.sqrt(n))))
-        cands = {max(1, center + k) for k in range(-2, 3)} | {1}
-        value, arg = min((tr / ell + tr * ell / n, ell) for ell in cands)
-        notes["argmin"] = arg
-        constants = {}
-    elif name == "choose-m":
-        n, r = need("n", "r")
-        value = float(choose_m(int(n), r))
-        constants = {"denom_coef": 14.0}
-    else:
+    if name not in _BOUNDS:
         raise ValueError("unknown bound name %r" % (name,))
+    constants, formula = _BOUNDS[name]
+    # the formula's parameters after k name the inputs it needs
+    code = formula.__code__
+    needs = code.co_varnames[1:code.co_argcount]
+    missing = [key for key in needs if inputs.get(key) is None]
+    if missing:
+        raise ValueError("bound %r needs inputs %s" % (name, missing))
+    value, notes = formula(constants, *[inputs[key] for key in needs])
     if value < 0.0:
         raise AssertionError("bound %r evaluated negative" % name)
     return BoundReport(name=name, value=float(value), inputs=dict(inputs),
-                       constants=constants, notes=notes)
-
-
-BOUND_NAMES = (
-    "recovery-tail-sup", "recovery-tail-sum", "recovery-half-tail",
-    "recovery-atom", "recovery-intermediate", "discretize-sup",
-    "discretize-trace", "discretize-sup-final", "discretize-trace-final",
-    "deviation-threshold", "baseline-scan", "baseline-p2", "choose-m",
-)
+                       constants=dict(constants), notes=notes)
 
 
 def model_bound_inputs(model, n, r, m, density=None):
@@ -554,5 +554,6 @@ def model_bound_inputs(model, n, r, m, density=None):
         "rule": model.rule,
     }
     if density is not None:
+        # no bound reads m0_sq; it is kept because summaries echo every input
         inputs["m0_sq"] = model.atom_mass * density.sup_inverse()
     return inputs

@@ -190,6 +190,32 @@ def test_tail_terms_raise_on_residual_above_eps(kind):
         d.evaluate(np.array([0.1, 0.6]))
 
 
+class _FixedUniforms:
+    """A generator stand-in whose uniforms the test chooses."""
+
+    def __init__(self, u):
+        self.u = np.asarray(u, dtype=float)
+
+    def random(self, count):
+        return self.u[:count]
+
+
+def test_deep_tail_draws_invert_the_eigenvalue_tail():
+    # Fourier k^-1.6 tail from m = 5: u this close to 1 lies past the cached
+    # cumulative table, so the draw takes the search on the closed-form tail
+    model = SpectralKernelModel(get_basis("fourier"), PolynomialDecay(0.8))
+    d = SamplingDensity(model, "spectral-mix", m=5)
+    u = 1.0 - 1e-6
+    (k,) = d._sample_tail_indices(_FixedUniforms([u]), 1, 5)
+    target = (1.0 - u) * model.tail_sum(5)
+    assert k > d._tail_index_table(5)[1][-1]
+    assert k == model.rule.index_for_tail(target)
+    assert model.tail_sum(k + 1) <= target < model.tail_sum(k)
+    # the largest uniform below 1 needs an index past 2^62: no silent cap
+    with pytest.raises(TruncationError):
+        d._sample_tail_indices(_FixedUniforms([1.0 - 2.0 ** -53]), 1, 5)
+
+
 def test_normalized_view_budgets():
     model = sob()
     for m in (3, 5):

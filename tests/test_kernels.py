@@ -216,6 +216,22 @@ def test_eval_kernel_without_closed_form_raises():
         poly_fourier().eval_kernel(0.1, 0.7)
 
 
+def test_cosine_kernel_without_closed_form():
+    # no closed form for an explicit list: its series is summed term by term
+    vals = [1.0, 0.5, 0.3, 0.2, 0.05]
+    model = SpectralKernelModel(get_basis("cosine"), ExplicitEigenvalues(vals))
+    x, y = 0.13, 0.57
+    direct = vals[0] + sum(
+        2.0 * lam * math.cos(math.pi * j * x) * math.cos(math.pi * j * y)
+        for j, lam in enumerate(vals[1:], start=1))
+    assert model.eval_kernel(x, y) == pytest.approx(direct, rel=1e-13)
+    # the cosine series of k^-2 leaves a residual far above eps
+    from rkhslab import TruncationError
+    poly = SpectralKernelModel(get_basis("cosine"), PolynomialDecay(1.0))
+    with pytest.raises(TruncationError):
+        poly.eval_kernel(0.1, 0.7)
+
+
 def test_atom_mass_sits_on_the_diagonal():
     plain = SpectralKernelModel(get_basis("fourier"), GeometricDecay(0.5))
     bumped = SpectralKernelModel(get_basis("fourier"), GeometricDecay(0.5),

@@ -78,6 +78,45 @@ def test_pinned_bound_values():
         0.6404108306283516, rel=1e-12)
 
 
+# one input set for every bound; values, constants and notes as computed by
+# the per-name evaluation that the bound table replaced
+_PIN_INPUTS = dict(n=1000, r=2.0, m=5, sigma_m_sq=0.004, tail_weighted_sup=0.3,
+                   tail_sum=0.2, half_tail_sum=0.5, atom_mass=5.0, m0_sq=0.3,
+                   trace=1.7, embedding_norm=1.0, sup_norm=1.3, sup_diag=1.69,
+                   m_sq=1.3, lambda_op_norm=0.01)
+_KSQ = 2.618033988749895
+_PINNED_BOUNDS = {
+    "recovery-tail-sup": (0.4340337145522019,
+                          {"lead": 5.0, "log_coef": 8.0, "kappa_sq": _KSQ}, {}),
+    "recovery-tail-sum": (0.578711619402936,
+                          {"lead": 5.0, "log_coef": 16.0, "kappa_sq": _KSQ}, {}),
+    "recovery-half-tail": (1.5, {"lead": 15.0}, {}),
+    "recovery-atom": (2.205, {"lead": 441.0}, {}),
+    "discretize-sup": (0.7002231570736234, {"inside": 21.0},
+                       {"threshold_ok": True, "threshold": 70.98}),
+    "discretize-trace": (0.702291767657378, {"inside": 21.0}, {}),
+    "discretize-sup-final": (1.5891326883223165, {"lead": 8.0}, {}),
+    "discretize-trace-final": (1.5985358403242236, {"lead": 8.0}, {}),
+    "deviation-threshold": (0.37616255261190834,
+                            {"log_coef": 8.0, "kappa_sq": _KSQ,
+                             "fail_mult": 1.681792830507429}, {}),
+    "baseline-scan": (0.026964462809917353, {}, {"argmin": 11}),
+    "baseline-p2": (0.107525, {}, {"argmin": 32}),
+    "choose-m": (5.0, {"denom_coef": 14.0}, {}),
+}
+
+
+def test_every_bound_is_pinned():
+    assert set(BOUND_NAMES) == set(_PINNED_BOUNDS)
+    inputs = dict(_PIN_INPUTS, rule=PolynomialDecay(1.0))
+    for name in BOUND_NAMES:
+        value, constants, notes = _PINNED_BOUNDS[name]
+        rep = bound(name, **inputs)
+        assert rep.value == pytest.approx(value, rel=1e-14, abs=0), name
+        assert rep.constants == pytest.approx(constants, rel=1e-14, abs=0), name
+        assert rep.notes == pytest.approx(notes, rel=1e-14, abs=0), name
+
+
 def test_bound_reports_are_auditable():
     model = cosine_sob()
     density = SamplingDensity(model, "plain")
