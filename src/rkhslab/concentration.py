@@ -19,10 +19,13 @@ from .densities import trial_rng
 WILSON_Z = 2.5758293035489004
 KAPPA = (1.0 + math.sqrt(5.0)) / 2.0
 KAPPA_SQ = KAPPA * KAPPA
+# the matrix-Chernoff tail CHERNOFF_MULT n exp(-t^2 n / (CHERNOFF_DENOM M^2))
+CHERNOFF_MULT = 2.0 ** 0.75
+CHERNOFF_DENOM = 21.0
 # the all-in-one deviation level; fail_mult is its failure-probability
 # multiplier fail_mult * n^(1-r)
 DEVIATION_CONSTANTS = {"log_coef": 8.0, "kappa_sq": KAPPA_SQ,
-                       "fail_mult": 2.0 ** 0.75}
+                       "fail_mult": CHERNOFF_MULT}
 
 _NORM_SLACK = 1.0 + 1e-12
 
@@ -121,7 +124,8 @@ def deviation_trial(family, n, rng):
 
 def tail_envelope(n, t, m_bound):
     """min(1, 2^(3/4) n exp(-t^2 n / (21 M^2)))."""
-    val = 2.0 ** 0.75 * n * math.exp(-t * t * n / (21.0 * m_bound ** 2))
+    val = CHERNOFF_MULT * n * math.exp(-t * t * n
+                                       / (CHERNOFF_DENOM * m_bound ** 2))
     return min(1.0, val)
 
 
@@ -143,7 +147,7 @@ def default_t_grid(family, n, points=10):
     configuration as vacuous instead of asserting anything.
     """
     m_sq = family.m_bound ** 2
-    thr_sq = 21.0 * m_sq * math.log(2.0 ** 0.75 * n) / n
+    thr_sq = CHERNOFF_DENOM * m_sq * math.log(CHERNOFF_MULT * n) / n
     t_min = math.sqrt(thr_sq) if thr_sq > 0 else 0.0
     if t_min >= 1.0:
         return np.empty(0)

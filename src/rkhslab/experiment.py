@@ -595,7 +595,7 @@ def run_sweep(cfg):
     for gi, n in enumerate(cfg.n_grid):
         m = resolve_m(cfg, model, n)
         density = build_density(cfg, model, m)
-        inputs = model_bound_inputs(model, n, cfg.r, m, density=density)
+        inputs = model_bound_inputs(model, n, cfg.r, m)
         rep_sum = bound("recovery-tail-sum", **inputs)
         rep_atom = bound("recovery-atom", **inputs)
         rep_scan = bound("baseline-scan", **inputs)

@@ -238,9 +238,7 @@ def _unit_circle_powers(theta, freqs):
     One exact anchor column, then each node's row is rotated stepwise by
     exp(i*theta); phase drift grows like (max - min) * eps, far below the
     tolerances used here.  Returns the table and the table column of each
-    requested frequency.  Callers gather with ``np.take``, which keeps the
-    block C-ordered (plain fancy indexing does not), so the BLAS products
-    downstream see the same layout and give the same bits.
+    requested frequency.
     """
     theta = np.asarray(theta, dtype=float)
     f_lo = int(freqs.min())
@@ -249,6 +247,21 @@ def _unit_circle_powers(theta, freqs):
     out[:, 1:] = np.exp(1j * theta)[:, None]
     np.multiply.accumulate(out, axis=1, out=out)
     return out, freqs - f_lo
+
+
+def _weighted_moments(theta, v, top):
+    """S(f) = sum_i v_i exp(i*f*theta_i) for f = 0..top, as one product.
+
+    With f = c*B + b and B = isqrt(top) + 1, S(f) is entry (c, b) of A^T R:
+    A holds the anchors v_i exp(i*c*B*theta_i), each an exact ``exp``, and R
+    the rotation table exp(i*b*theta_i) for b < B.  Memory stays at
+    O(n sqrt(top)) and rotation drift at B * eps.
+    """
+    step = math.isqrt(top) + 1
+    anchor_freqs = step * np.arange(-(-(top + 1) // step))
+    anchors = v[:, None] * np.exp(1j * np.outer(theta, anchor_freqs))
+    rotations, _ = _unit_circle_powers(theta, np.arange(step))
+    return (anchors.T @ rotations).ravel()[: top + 1]
 
 
 class FourierBasis:
@@ -276,6 +289,21 @@ class FourierBasis:
         out = np.take(powers, cols, axis=1)
         # negative frequencies are the conjugates of their |f| columns
         out.imag *= np.where(freqs < 0, -1.0, 1.0)
+        return out
+
+    def weighted_gram(self, rows, cols, x, v):
+        """sum_i v_i conj(eta_j(x_i)) eta_k(x_i) for j in rows, k in cols.
+
+        The entry is the moment S(f_k - f_j) at theta = 2 pi x; the real
+        weights make S(-f) the conjugate of S(f).
+        """
+        x = self.domain.canonical(np.atleast_1d(x))
+        diff = (self.frequency(np.atleast_1d(cols))[None, :]
+                - self.frequency(np.atleast_1d(rows))[:, None])
+        moments = _weighted_moments(TWO_PI * x, np.asarray(v, dtype=float),
+                                    int(np.abs(diff).max()))
+        out = np.take(moments, np.abs(diff))
+        np.conjugate(out, out=out, where=diff < 0)
         return out
 
     def eval(self, k, x):
@@ -345,6 +373,24 @@ class CosineBasis:
         out = np.take(powers.view(float), 2 * cols, axis=1)
         out *= math.sqrt(2.0)
         out[:, freqs == 0] = 1.0
+        return out
+
+    def weighted_gram(self, rows, cols, x, v):
+        """sum_i v_i eta_j(x_i) eta_k(x_i) for j in rows, k in cols.
+
+        With a = j-1, b = k-1, s_0 = 1/sqrt(2) and s_a = 1 otherwise,
+        2 cos cos = cos(difference) + cos(sum) makes the entry
+        s_a s_b (Cm(|a-b|) + Cm(a+b)), where Cm = Re S at theta = pi x.
+        """
+        x = self.domain.canonical(np.atleast_1d(x))
+        a = np.atleast_1d(np.asarray(rows, dtype=np.int64)) - 1
+        b = np.atleast_1d(np.asarray(cols, dtype=np.int64)) - 1
+        cm = _weighted_moments(math.pi * x, np.asarray(v, dtype=float),
+                               int(a.max() + b.max())).real
+        out = np.take(cm, np.abs(a[:, None] - b[None, :]))
+        out += np.take(cm, a[:, None] + b[None, :])
+        out *= np.where(a == 0, math.sqrt(0.5), 1.0)[:, None]
+        out *= np.where(b == 0, math.sqrt(0.5), 1.0)[None, :]
         return out
 
     def eval(self, k, x):

@@ -11,6 +11,12 @@ a diagonal tail, so its Gram is diagonal-plus-low-rank.  The largest
 eigenvalue then comes from a one-dimensional secular equation at every
 truncation order (Golub 1973); the dense matrix itself is only built by
 ``recovery_error_matrix``, the oracle the tests take the SVD of.
+
+Both operators are gathered from weighted trigonometric moments
+S(f) = sum_i v_i exp(i f theta_i) through the basis' ``weighted_gram``: the
+m-1 dense rows from about N + m moments of the squared node weights, and the
+discretization matrix diag(lambda) - (sigma sigma^T o Gram) / n from about 2N
+moments of the weights.  No n x N design is formed.
 """
 
 import math
@@ -18,18 +24,22 @@ from dataclasses import dataclass, field
 
 import numpy as np
 from scipy.linalg import cho_factor, cho_solve
-from scipy.sparse.linalg import LinearOperator, eigsh
+from scipy.sparse.linalg import eigsh
 
-from .concentration import (DEVIATION_CONSTANTS, KAPPA_SQ, deviation_level,
+from .concentration import (CHERNOFF_DENOM, CHERNOFF_MULT,
+                            DEVIATION_CONSTANTS, KAPPA_SQ, deviation_level,
                             spectral_budget)
 from .errors import RankDeficientError
 from .leastsq import assemble_design
 
 # multiplier in the recovery failure probability FAIL_MULT * n^(1-r)
-FAIL_MULT = 2.0 ** 0.75 + 1.0
+FAIL_MULT = CHERNOFF_MULT + 1.0
 
 _DENSE_DISCRETIZE = 1024
 _TRUNC_CAP = 4096
+# relative bracket width at which the secular solve stops, and its step cap
+_SECULAR_WIDTH = 1e-14
+_SECULAR_STEPS = 90
 
 
 # ---------------------------------------------------------------------------
@@ -111,22 +121,21 @@ def _pick_trunc(model, trunc, lowest):
     return n
 
 
-def _scaled_design(model, x, row_scale, col_scale, n_cols):
-    """G[i, k] = col_scale[k] * row_scale[i] * eta_{k+1}(x_i)."""
-    out = model.basis.eval_block(np.arange(1, n_cols + 1), x)
-    out *= row_scale[:, None]
-    out *= col_scale[None, :]
-    return out
-
-
 def _lowrank_plus_diag_norm(d, C):
     """Largest eigenvalue of diag(d) + C* C with C short and wide.
 
-    Eigenvalues above max(d) solve lambda_max(C (mu I - diag d)^{-1} C*) = 1;
-    the left side decreases in mu, so bisection between max(d) and
-    max(d) + ||C||^2 nails the top one.  The first probe sits 1e-13 above
-    max(d) relative to the larger of max(d) and ||C||^2, never in absolute
-    terms, so a top eigenvalue far below 1 is not rounded down to max(d).
+    Eigenvalues above max(d) solve lam(mu) = lambda_max(C (mu I - diag d)^{-1}
+    C*) = 1.  lam decreases and is convex, with lam'(mu) = -sum_k |(u* C)_k|^2
+    / (mu - d_k)^2 for its top eigenvector u, and 1/lam is concave (Cauchy-
+    Schwarz), so Newton steps on 1/lam = 1 from the lower end of the bracket
+    stay left of the root and are nearly exact next to a pole (Bunch, Nielsen
+    & Sorensen 1978).  Every probe keeps 1e-15 relative inside the bracket,
+    which certifies the upper end once Newton has converged; a step that is
+    not finite falls back to the midpoint.  The upper end is returned once
+    the bracket is 1e-14 relative wide, so the value errs on the high side.
+    The first probe sits 1e-13 above max(d) relative to the larger of max(d)
+    and ||C||^2, never in absolute terms, so a top eigenvalue far below 1 is
+    not rounded down to max(d).
     """
     d = np.asarray(d, dtype=float)
     gram_small = C @ C.conj().T
@@ -136,24 +145,35 @@ def _lowrank_plus_diag_norm(d, C):
     if big <= 0.0:
         return d_max
 
-    def wmax(mu):
+    def top(mu):
+        """lam(mu) and -lam'(mu)."""
         scaled = C * (1.0 / (mu - d))[None, :]
         w = scaled @ C.conj().T
-        w = 0.5 * (w + w.conj().T)
-        return float(np.linalg.eigvalsh(w)[-1])
+        vals, vecs = np.linalg.eigh(0.5 * (w + w.conj().T))
+        return (float(vals[-1]),
+                float(np.sum(np.abs(vecs[:, -1].conj() @ scaled) ** 2)))
 
     scale = max(d_max, big)
-    probe = d_max + 1e-13 * scale
-    if wmax(probe) < 1.0:
+    lo = d_max + 1e-13 * scale
+    val, slope = top(lo)
+    if val < 1.0:
         return d_max
-    lo, hi = probe, d_max + big + 1e-30
-    for _ in range(90):
-        mid = 0.5 * (lo + hi)
-        if wmax(mid) >= 1.0:
-            lo = mid
+    hi = d_max + big + 1e-30
+    for _ in range(_SECULAR_STEPS):
+        if hi - lo <= _SECULAR_WIDTH * hi:
+            break
+        if slope > 0.0:
+            nudge = 0.1 * _SECULAR_WIDTH * hi
+            mu = min(max(lo + val * (val - 1.0) / slope, lo + nudge),
+                     hi - nudge)
         else:
-            hi = mid
-    return 0.5 * (lo + hi)
+            mu = 0.5 * (lo + hi)
+        v, s = top(mu)
+        if v >= 1.0:
+            lo, val, slope = mu, v, s
+        else:
+            hi = mu
+    return hi
 
 
 def _recovery_parts(model, density, nodes, m, trunc, design):
@@ -166,9 +186,12 @@ def _recovery_parts(model, density, nodes, m, trunc, design):
     n, w = ds.n, ds.weights
     N = _pick_trunc(model, trunc, m - 1)
     sig = model.singular_values(np.arange(1, N + 1))
-    G = _scaled_design(model, np.asarray(nodes.x, dtype=float), w, sig, N)
+    # L* G with G the design scaled by sig: sum_i w_i^2 conj(eta_j) eta_k sig_k
+    cross = model.basis.weighted_gram(np.arange(1, m), np.arange(1, N + 1),
+                                      nodes.x, w ** 2)
+    cross *= sig[None, :]
     cho = cho_factor(n * ds.gram)
-    W = cho_solve(cho, ds.matrix.conj().T @ G)
+    W = cho_solve(cho, cross)
     C = -W
     head = np.arange(m - 1)
     C[head, head] += sig[head]
@@ -233,23 +256,19 @@ def exact_wce_discretization(model, nodes, weights=None, trunc=None):
     if w.shape != x.shape or np.any(w < 0.0):
         raise ValueError("weights must be non-negative, one per node")
     N = _pick_trunc(model, trunc, 1)
-    sig = model.singular_values(np.arange(1, N + 1))
-    lam = sig ** 2
-    G = _scaled_design(model, x, np.sqrt(w), sig, N)
+    ks = np.arange(1, N + 1)
+    sig = model.singular_values(ks)
+    # Y = diag(lambda) - (sig sig^T o sum_i w_i conj(eta_j) eta_k) / n; the
+    # outer product keeps Y exactly Hermitian
+    Y = model.basis.weighted_gram(ks, ks, x, w)
+    Y *= np.outer(sig, sig) / -n
+    Y[ks - 1, ks - 1] += sig ** 2
     if N <= _DENSE_DISCRETIZE:
-        Y = -(G.conj().T @ G) / n
-        idx = np.arange(N)
-        Y[idx, idx] += lam
-        Y = 0.5 * (Y + Y.conj().T)
         eigs = np.linalg.eigvalsh(Y)
         value = float(max(abs(eigs[0]), abs(eigs[-1])))
     else:
-        def matvec(v):
-            return lam * v - G.conj().T @ (G @ v) / n
-
-        op = LinearOperator((N, N), matvec=matvec, dtype=G.dtype)
         v0 = np.random.Generator(np.random.Philox(_EIGSH_SEED)).standard_normal(N)
-        vals = eigsh(op, k=1, which="LM", v0=v0, tol=1e-10,
+        vals = eigsh(Y, k=1, which="LM", v0=v0, tol=1e-10,
                      return_eigenvectors=False)
         value = float(abs(vals[0]))
 
@@ -489,9 +508,9 @@ _BOUNDS = {
         {"lead": 441.0},
         lambda k, sigma_m_sq, tail_sum, atom_mass, n, r: (k["lead"] * max(
             sigma_m_sq, r * math.log(n) / n * tail_sum, atom_mass / n), {})),
-    "discretize-sup": ({"inside": 21.0}, _discretize_sup),
+    "discretize-sup": ({"inside": CHERNOFF_DENOM}, _discretize_sup),
     "discretize-trace": (
-        {"inside": 21.0},
+        {"inside": CHERNOFF_DENOM},
         lambda k, trace, embedding_norm, n, r: (math.sqrt(
             k["inside"] * trace * embedding_norm ** 2 * r * math.log(n) / n),
             {})),

@@ -273,3 +273,28 @@ def test_grid_maximum_finds_interior_peak():
 def test_get_basis_rejects_unknown():
     with pytest.raises((KeyError, ValueError)):
         get_basis("chebyshev")
+
+
+@pytest.mark.parametrize("name", ["fourier", "cosine"])
+@pytest.mark.parametrize("rows, cols", [
+    # recovery shape: rows 1..m-1, cols 1..N; the top moment index F is not
+    # a multiple of the rotation block B (1053 vs 33, 2105 vs 46)
+    (np.arange(1, 8), np.arange(1, 2101)),
+    # discretization shape: square, with the constant column inside
+    (np.arange(1, 301), np.arange(1, 301)),
+])
+def test_weighted_gram_matches_explicit_products(name, rows, cols):
+    basis = get_basis(name)
+    rng = np.random.default_rng(31)
+    x = rng.random(250)
+    v = rng.random(250) * 4.0 + 0.1
+    v[7] = 0.0
+    got = basis.weighted_gram(rows, cols, x, v)
+    want = basis.eval_block(rows, x).conj().T @ (
+        v[:, None] * basis.eval_block(cols, x))
+    assert got.shape == want.shape
+    assert np.max(np.abs(got - want)) <= 1e-12 * np.sum(np.abs(v))
+    if name == "cosine":
+        with pytest.raises(DomainError):
+            basis.weighted_gram(rows, cols, np.append(x, 1.5),
+                                np.append(v, 1.0))

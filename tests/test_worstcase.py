@@ -192,6 +192,21 @@ def test_recovery_secular_matches_dense_oracle(case, m, trunc):
         assert abs(wce.value_sq - top * top) <= 1e-10 * top * top
 
 
+@pytest.mark.parametrize("seed", [0, 5])
+def test_recovery_secular_near_the_cost_cliff(seed):
+    # m - 1 = 120 next to N = 128, where every secular step costs most
+    model = fourier_poly()
+    density = SamplingDensity(model, "plain")
+    nodes = draw_nodes(density, 400, seed=seed)
+    wce = exact_wce_recovery(model, density, nodes, 121, trunc=128)
+    em = recovery_error_matrix(model, density, nodes, 121, trunc=128)
+    top_sq = float(np.linalg.svd(em.matrix, compute_uv=False)[0]) ** 2
+    assert abs(wce.value_sq - top_sq) <= 1e-10 * top_sq
+    # the upper bracket end is returned; the SVD carries a few eps of its
+    # own rounding (seed 5 lands 2.5e-16 relative under it)
+    assert wce.value_sq >= top_sq * (1.0 - 4.0 * np.finfo(float).eps)
+
+
 def test_recovery_value_bounded_by_single_function():
     # the first excluded eigenfunction gives a lower bound on the sup
     model, density, nodes = wce_setup(n=50, m=5)
