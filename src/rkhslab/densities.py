@@ -367,13 +367,15 @@ def draw_nodes(density, count, seed, stream=0):
     rng = trial_rng(seed, stream)
     x, tally = density._sample(rng, count)
     for _ in range(64):
+        # a plain sort finds whether any value repeats; only a round that
+        # finds one pays for the stable argsort that marks the later copies
+        if not np.any(np.diff(np.sort(x)) == 0.0):
+            break
         order = np.argsort(x, kind="stable")
         dup_sorted = np.zeros(count, dtype=bool)
         dup_sorted[1:] = np.diff(x[order]) == 0.0
         dup = np.zeros(count, dtype=bool)
         dup[order] = dup_sorted
-        if not dup.any():
-            break
         redraw, _ = density._sample(rng, int(dup.sum()))
         x[dup] = redraw
     else:

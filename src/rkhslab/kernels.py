@@ -249,19 +249,30 @@ def _unit_circle_powers(theta, freqs):
     return out, freqs - f_lo
 
 
+def _geometric_rows(first, ratio, count):
+    """Rows first * ratio**k for k < count, each one n-vector multiply."""
+    out = np.empty((count, np.size(ratio)), dtype=complex)
+    out[0] = first
+    for k in range(1, count):
+        np.multiply(out[k - 1], ratio, out=out[k])
+    return out
+
+
 def _weighted_moments(theta, v, top):
     """S(f) = sum_i v_i exp(i*f*theta_i) for f = 0..top, as one product.
 
-    With f = c*B + b and B = isqrt(top) + 1, S(f) is entry (c, b) of A^T R:
-    A holds the anchors v_i exp(i*c*B*theta_i), each an exact ``exp``, and R
-    the rotation table exp(i*b*theta_i) for b < B.  Memory stays at
-    O(n sqrt(top)) and rotation drift at B * eps.
+    With f = c*B + b and B = isqrt(top) + 1, S(f) is entry (c, b) of A R^T:
+    the rotation table R holds exp(i*b*theta_i) for b < B and the anchor table
+    A holds v_i exp(i*c*B*theta_i), both built frequency-major from the one
+    exact ``exp(i*theta)``.  Memory stays at O(n sqrt(top)).  The recurrence
+    steps add (B + C) * eps of drift; the rounding of exp(i*theta) itself
+    grows with f to about top * eps, the order of the rounding of the
+    argument f*theta in a direct ``exp``.
     """
     step = math.isqrt(top) + 1
-    anchor_freqs = step * np.arange(-(-(top + 1) // step))
-    anchors = v[:, None] * np.exp(1j * np.outer(theta, anchor_freqs))
-    rotations, _ = _unit_circle_powers(theta, np.arange(step))
-    return (anchors.T @ rotations).ravel()[: top + 1]
+    rotations = _geometric_rows(1.0, np.exp(1j * theta), step + 1)
+    anchors = _geometric_rows(v, rotations[step], -(-(top + 1) // step))
+    return (anchors @ rotations[:step].T).ravel()[: top + 1]
 
 
 class FourierBasis:
@@ -305,6 +316,30 @@ class FourierBasis:
         out = np.take(moments, np.abs(diff))
         np.conjugate(out, out=out, where=diff < 0)
         return out
+
+    def gram_matvec(self, N, x, v):
+        """u -> weighted_gram(1..N, 1..N, x, v) @ u through a circulant.
+
+        In frequency order the Gram is Hermitian Toeplitz with entry (j, k) =
+        S(k - j).  Its first column conj(S(0..N-1)) and first row S(0..N-1)
+        wrap into a circulant of power-of-two size L >= 2N - 1 (Strang 1986),
+        so each product is one FFT pair.
+        """
+        x = self.domain.canonical(np.atleast_1d(x))
+        pos = self.frequency(np.arange(1, N + 1)) + (N - 1) // 2
+        size = 1 << (2 * N - 2).bit_length()
+        moments = _weighted_moments(TWO_PI * x, np.asarray(v, dtype=float),
+                                    N - 1)
+        col = np.zeros(size, dtype=complex)
+        col[:N] = moments.conj()
+        col[size - N + 1:] = moments[:0:-1]
+        spectrum = np.fft.fft(col)
+
+        def apply(u):
+            ordered = np.zeros(size, dtype=complex)
+            ordered[pos] = u
+            return np.fft.ifft(spectrum * np.fft.fft(ordered))[pos]
+        return apply
 
     def eval(self, k, x):
         scalar = np.isscalar(x)
@@ -392,6 +427,37 @@ class CosineBasis:
         out *= np.where(a == 0, math.sqrt(0.5), 1.0)[:, None]
         out *= np.where(b == 0, math.sqrt(0.5), 1.0)[None, :]
         return out
+
+    def gram_matvec(self, N, x, v):
+        """u -> weighted_gram(1..N, 1..N, x, v) @ u through a circulant.
+
+        With y = s o u, the Toeplitz part sum_b Cm(|a-b|) y_b and the Hankel
+        part sum_b Cm(a+b) y_b are both circular convolutions with
+        (Cm(0..2N-2), 0, ..., Cm(N-1..1)) of power-of-two size L >= 3N - 2,
+        the Hankel one with y_b moved to L - b.  The sum of y and its mirror
+        takes one rfft and one irfft per product.
+        """
+        x = self.domain.canonical(np.atleast_1d(x))
+        size = 1 << (3 * N - 3).bit_length()
+        cm = _weighted_moments(math.pi * x, np.asarray(v, dtype=float),
+                               2 * N - 2).real
+        col = np.zeros(size)
+        col[: 2 * N - 1] = cm
+        col[size - N + 1:] = cm[N - 1:0:-1]
+        spectrum = np.fft.rfft(col)
+        s = np.where(np.arange(N) == 0, math.sqrt(0.5), 1.0)
+
+        def apply(u):
+            if np.iscomplexobj(u):
+                return apply(u.real) + 1j * apply(u.imag)
+            y = s * u
+            mirrored = np.zeros(size)
+            mirrored[:N] = y
+            mirrored[0] *= 2.0
+            mirrored[size - N + 1:] = y[:0:-1]
+            return s * np.fft.irfft(spectrum * np.fft.rfft(mirrored),
+                                    size)[:N]
+        return apply
 
     def eval(self, k, x):
         scalar = np.isscalar(x)

@@ -12,11 +12,13 @@ eigenvalue then comes from a one-dimensional secular equation at every
 truncation order (Golub 1973); the dense matrix itself is only built by
 ``recovery_error_matrix``, the oracle the tests take the SVD of.
 
-Both operators are gathered from weighted trigonometric moments
-S(f) = sum_i v_i exp(i f theta_i) through the basis' ``weighted_gram``: the
-m-1 dense rows from about N + m moments of the squared node weights, and the
-discretization matrix diag(lambda) - (sigma sigma^T o Gram) / n from about 2N
-moments of the weights.  No n x N design is formed.
+Both operators come from weighted trigonometric moments
+S(f) = sum_i v_i exp(i f theta_i): the m-1 dense rows are gathered from about
+N + m moments of the squared node weights (``weighted_gram``), and the
+discretization operator diag(lambda) - (sigma sigma^T o Gram) / n is applied
+inside one Lanczos solve through FFT products on about 2N moments of the
+weights (``gram_matvec``).  Neither an n x N design nor an N x N
+discretization matrix is formed.
 """
 
 import math
@@ -24,7 +26,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 from scipy.linalg import cho_factor, cho_solve
-from scipy.sparse.linalg import eigsh
+from scipy.sparse.linalg import LinearOperator, eigsh
 
 from .concentration import (CHERNOFF_DENOM, CHERNOFF_MULT,
                             DEVIATION_CONSTANTS, KAPPA_SQ, deviation_level,
@@ -35,7 +37,6 @@ from .leastsq import assemble_design
 # multiplier in the recovery failure probability FAIL_MULT * n^(1-r)
 FAIL_MULT = CHERNOFF_MULT + 1.0
 
-_DENSE_DISCRETIZE = 1024
 _TRUNC_CAP = 4096
 # relative bracket width at which the secular solve stops, and its step cap
 _SECULAR_WIDTH = 1e-14
@@ -246,7 +247,10 @@ def exact_wce_discretization(model, nodes, weights=None, trunc=None):
 
     ``weights``: per-node multipliers for the sampled quadratic form (the
     reciprocal sampling density for importance-weighted discretization);
-    omitted means the plain equal-weight average.
+    omitted means the plain equal-weight average.  One Lanczos solve
+    (``eigsh``) finds the eigenvalue of largest modulus from the basis' FFT
+    Gram products, so no N x N array is formed; only N <= 2, below what
+    ARPACK accepts, is solved densely.
     """
     x = np.asarray(getattr(nodes, "x", nodes), dtype=float)
     n = x.size
@@ -256,20 +260,22 @@ def exact_wce_discretization(model, nodes, weights=None, trunc=None):
     if w.shape != x.shape or np.any(w < 0.0):
         raise ValueError("weights must be non-negative, one per node")
     N = _pick_trunc(model, trunc, 1)
-    ks = np.arange(1, N + 1)
-    sig = model.singular_values(ks)
-    # Y = diag(lambda) - (sig sig^T o sum_i w_i conj(eta_j) eta_k) / n; the
-    # outer product keeps Y exactly Hermitian
-    Y = model.basis.weighted_gram(ks, ks, x, w)
-    Y *= np.outer(sig, sig) / -n
-    Y[ks - 1, ks - 1] += sig ** 2
-    if N <= _DENSE_DISCRETIZE:
-        eigs = np.linalg.eigvalsh(Y)
-        value = float(max(abs(eigs[0]), abs(eigs[-1])))
+    sig = model.singular_values(np.arange(1, N + 1))
+    gram = model.basis.gram_matvec(N, x, w)
+
+    def apply(u):
+        # Y u, Y = diag(lambda) - (sig sig^T o sum_i w_i conj(eta_j) eta_k) / n
+        return sig ** 2 * u - sig * gram(sig * u) / n
+
+    if N <= 2:
+        # ARPACK needs k < N - 1, so Y is applied to the identity columns
+        eigs = np.linalg.eigvalsh(np.column_stack([apply(e)
+                                                   for e in np.eye(N)]))
+        value = float(np.max(np.abs(eigs)))
     else:
         v0 = np.random.Generator(np.random.Philox(_EIGSH_SEED)).standard_normal(N)
-        vals = eigsh(Y, k=1, which="LM", v0=v0, tol=1e-10,
-                     return_eigenvectors=False)
+        vals = eigsh(LinearOperator((N, N), matvec=apply), k=1, which="LM",
+                     v0=v0, tol=0, return_eigenvectors=False)
         value = float(abs(vals[0]))
 
     lam_next = float(model.eigenvalues(np.asarray([N + 1]))[0])

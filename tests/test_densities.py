@@ -234,3 +234,25 @@ def test_trial_rng_streams_are_independent_counters():
     c = trial_rng(5, 1).random(4)
     np.testing.assert_array_equal(a, b)
     assert not np.array_equal(a, c)
+
+
+def test_draw_nodes_redraws_the_later_copy_of_a_collision(monkeypatch):
+    d = SamplingDensity(sob(), "plain")
+    sample = d._sample
+    calls = []
+
+    def colliding(rng, count):
+        x, tally = sample(rng, count)
+        if not calls:
+            x[[5, 9]] = x[2]
+        calls.append(count)
+        return x, tally
+
+    monkeypatch.setattr(d, "_sample", colliding)
+    nodes = draw_nodes(d, 20, seed=4)
+    assert calls == [20, 2]
+    rng = trial_rng(4)
+    first, _ = sample(rng, 20)
+    redraw, _ = sample(rng, 2)
+    first[[5, 9]] = redraw
+    np.testing.assert_array_equal(nodes.x, first)

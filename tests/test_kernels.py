@@ -7,7 +7,7 @@ import pytest
 from rkhslab import (DomainError, ExplicitEigenvalues, GeometricDecay,
                      PolynomialDecay, SobolevDecay, SpectralKernelModel,
                      get_basis)
-from rkhslab.kernels import grid_maximum
+from rkhslab.kernels import TWO_PI, _weighted_moments, grid_maximum
 
 PI_COTH_PI = math.pi / math.tanh(math.pi)
 
@@ -298,3 +298,44 @@ def test_weighted_gram_matches_explicit_products(name, rows, cols):
         with pytest.raises(DomainError):
             basis.weighted_gram(rows, cols, np.append(x, 1.5),
                                 np.append(v, 1.0))
+
+
+@pytest.mark.parametrize("name", ["fourier", "cosine"])
+@pytest.mark.parametrize("N", [1, 2, 7, 300, 1100])
+def test_gram_matvec_matches_weighted_gram(name, N):
+    basis = get_basis(name)
+    rng = np.random.default_rng(41)
+    x = rng.random(250)
+    v = rng.random(250) * 4.0 + 0.1
+    v[11] = 0.0
+    ks = np.arange(1, N + 1)
+    gram = basis.weighted_gram(ks, ks, x, v)
+    apply = basis.gram_matvec(N, x, v)
+    for u in (rng.standard_normal(N),
+              rng.standard_normal(N) + 1j * rng.standard_normal(N)):
+        got = apply(u)
+        assert got.shape == (N,)
+        assert (np.max(np.abs(got - gram @ u))
+                <= 1e-12 * np.sum(np.abs(v)) * np.linalg.norm(u))
+    if name == "cosine":
+        with pytest.raises(DomainError):
+            basis.gram_matvec(N, np.append(x, 1.5), np.append(v, 1.0))
+
+
+def test_weighted_moments_at_a_large_top():
+    top = 2 ** 16
+    step = math.isqrt(top) + 1
+    rng = np.random.default_rng(43)
+    # angles on a 2^-30 grid make f * theta exact for f <= top, so the
+    # direct sums below carry only the rounding of exp itself
+    theta = rng.integers(0, int(TWO_PI * 2 ** 30), 50) / 2.0 ** 30
+    v = rng.random(50) * 4.0 + 0.1
+    v[5] = 0.0
+    freqs = np.unique(np.concatenate([
+        [0, 1, step - 1, step, 2 * step, 100 * step, (top // step) * step,
+         top - 1, top],
+        rng.integers(0, top + 1, 11)]))
+    got = _weighted_moments(theta, v, top)
+    assert got.shape == (top + 1,)
+    want = np.exp(1j * np.outer(freqs, theta)) @ v
+    assert np.max(np.abs(got[freqs] - want)) <= 1e-12 * np.sum(np.abs(v))

@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -13,6 +14,7 @@ from rkhslab import (BOUND_NAMES, FAIL_MULT, KAPPA, KAPPA_SQ,
                      nodes_from_points, power_iteration_norm,
                      recovery_error_matrix, spectral_budget,
                      wce_nullspace_component)
+from rkhslab import worstcase
 from rkhslab.densities import trial_rng
 
 
@@ -314,3 +316,38 @@ def test_deviation_threshold_bound_name():
                 lambda_op_norm=0.5)
     direct = max(8 * 2.0 * math.log(1000) / 1000 * 1.3 * KAPPA_SQ, 0.5)
     assert rep.value == pytest.approx(direct, rel=1e-12)
+
+
+@pytest.mark.parametrize("name", ["fourier", "cosine"])
+@pytest.mark.parametrize("N", [1, 2, 3])
+def test_discretization_at_the_smallest_truncations(name, N):
+    # N <= 2 sits below what ARPACK accepts, N = 3 is its first size
+    model = SpectralKernelModel(get_basis(name), SobolevDecay(1.0))
+    rng = trial_rng(61)
+    x = rng.random(40)
+    w = rng.random(40) + 0.5
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        out = exact_wce_discretization(model, x, weights=w, trunc=N)
+    assert out.trunc_dim == N
+    sig = model.singular_values(np.arange(1, N + 1))
+    G = model.basis.eval_block(np.arange(1, N + 1), x) * sig[None, :]
+    Gw = G * np.sqrt(w)[:, None]
+    Y = np.diag(sig ** 2) - Gw.conj().T @ Gw / 40
+    eigs = np.linalg.eigvalsh(0.5 * (Y + Y.conj().T))
+    assert out.value == pytest.approx(max(abs(eigs[0]), abs(eigs[-1])),
+                                      rel=1e-12)
+
+
+@pytest.mark.parametrize("steps", [0, 3])
+@pytest.mark.parametrize("seed", [0, 5])
+def test_secular_step_cap_stays_conservative(monkeypatch, steps, seed):
+    # a cap that ends Newton early still returns the upper bracket end
+    monkeypatch.setattr(worstcase, "_SECULAR_STEPS", steps)
+    model = fourier_poly()
+    density = SamplingDensity(model, "plain")
+    nodes = draw_nodes(density, 400, seed=seed)
+    wce = exact_wce_recovery(model, density, nodes, 121, trunc=128)
+    em = recovery_error_matrix(model, density, nodes, 121, trunc=128)
+    top_sq = float(np.linalg.svd(em.matrix, compute_uv=False)[0]) ** 2
+    assert wce.value_sq >= top_sq
