@@ -21,13 +21,12 @@ TruncationError instead of being capped.
 """
 
 import csv
-import math
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import DegenerateDensityError, DomainError, TruncationError
-from .kernels import TWO_PI, GeometricDecay, SobolevDecay, grid_maximum
+from .errors import DegenerateDensityError, TruncationError
+from .kernels import TWO_PI, grid_maximum
 
 _TAIL_TABLE_CAP = 1 << 16
 
@@ -167,64 +166,6 @@ class SamplingDensity:
 
     # -- distribution function ----------------------------------------------
 
-    def _component_cdf(self, freq, x):
-        """CDF of the |eta|^2 component with the given frequency."""
-        if self.model.basis.name == "fourier" or freq == 0:
-            return x.copy()
-        return x + np.sin(TWO_PI * freq * x) / (TWO_PI * freq)
-
-    def _osc_cdf_closed(self, m, x):
-        """(1/2pi) sum_{j >= m-1} lambda_{j+1} sin(2 pi j x) / j in closed
-        form where one is known, else None.  m >= 2 here."""
-        rule = self.model.rule
-        j0 = m - 1
-        theta = TWO_PI * (np.asarray(x, dtype=float) % 1.0)
-        if isinstance(rule, SobolevDecay) and rule.s == 1.0:
-            # sum_{j>=1} sin(j t)/(j(1+j^2))
-            #   = (pi - t)/2 - (pi/2) sinh(pi - t)/sinh(pi) on [0, 2 pi]
-            full = (0.5 * (math.pi - theta)
-                    - 0.5 * math.pi * np.sinh(math.pi - theta)
-                    / math.sinh(math.pi))
-        elif isinstance(rule, GeometricDecay):
-            q = rule.q
-            # sum_{j>=1} q^j sin(j t)/j = arg(1 - q e^{it})^{-1}
-            full = rule.scale * np.arctan2(q * np.sin(theta),
-                                           1.0 - q * np.cos(theta))
-        else:
-            return None
-        js = np.arange(1, j0)
-        if js.size:
-            lam = self.model.eigenvalues(js + 1)
-            full = full - np.sin(np.outer(theta, js)) @ (lam / js)
-        return full / TWO_PI
-
-    def _tail_cdf_series(self, m, x):
-        """sum_{k >= m} lambda_k F_k(x) with F_k the component CDF."""
-        model = self.model
-        tail = model.tail_sum(m)
-        if model.basis.name == "fourier" or tail == 0.0:
-            return tail * x
-        osc = self._osc_cdf_closed(max(m, 2), x)
-        if osc is not None:
-            return tail * x + osc
-        # oscillatory part: sum lambda_k sin(2 pi (k-1) x) / (2 pi (k-1))
-        cut = model.rank if model.rank is not None else _TAIL_TABLE_CAP
-        # remainder of the CDF series is <= tail(cut+1) / (2 pi cut)
-        while (model.rank is None and cut < (1 << 22)
-               and model.tail_sum(cut + 1) / (TWO_PI * cut) > 1e-12):
-            cut *= 2
-        ks = np.arange(max(m, 2), cut + 1)
-        lam = model.eigenvalues(ks)
-        keep = lam > 0.0
-        ks, lam = ks[keep], lam[keep]
-        out = tail * x
-        freqs = (ks - 1).astype(float)
-        coef = lam / (TWO_PI * freqs)
-        for lo in range(0, ks.size, 4096):
-            blk = slice(lo, lo + 4096)
-            out += np.sin(TWO_PI * np.outer(x, freqs[blk])) @ coef[blk]
-        return out
-
     def cdf(self, x):
         """Distribution function of the density on [0, 1]."""
         x = np.atleast_1d(np.asarray(x, dtype=float))
@@ -234,15 +175,12 @@ class SamplingDensity:
             if term in ("plain", "atom"):
                 total += w * x
             elif term == "spectral":
-                acc = np.zeros(x.shape)
-                for j in range(1, self.m):
-                    freq = j - 1 if model.basis.name == "cosine" else 0
-                    acc += self._component_cdf(freq, x)
-                total += w * acc / (self.m - 1)
+                total += w * model.basis.spectral_sum_cdf(self.m, x) / (
+                    self.m - 1)
             else:
                 start, atom = self._tail_term(term)
-                total += w * (atom * x + self._tail_cdf_series(start, x)) / (
-                    model.tail_sum(start) + atom)
+                tail = model.basis.weighted_tail_cdf(model.rule, start, x)
+                total += w * (atom * x + tail) / (model.tail_sum(start) + atom)
         return total
 
     # -- sampling ------------------------------------------------------------

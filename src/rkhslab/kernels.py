@@ -17,6 +17,14 @@ and the spectral quantities driving the bounds are
 For the built-in rule/basis combinations these are available in closed form;
 every truncated evaluation carries an explicit residual bound and raises when
 the model tolerance cannot be met.
+
+Every value exp(i*f*theta) at a set of angles comes from one recurrence:
+``_geometric_rows`` takes powers of the one exact ``exp(i*theta)``, one
+n-vector multiply per frequency.  Basis blocks gather its rows; weighted
+moments and trigonometric series split f = c*B + b with B near sqrt(top) and
+contract a rotation table (b < B) with an anchor table (steps of
+exp(i*B*theta)).  Only closed forms (geometric sums, the cosine series of
+1/(1+j^2) and its sine companion) evaluate trigonometric functions directly.
 """
 
 import math
@@ -47,11 +55,9 @@ class Domain:
     def canonical(self, x):
         """Map points to the fundamental domain, rejecting outsiders."""
         x = np.asarray(x, dtype=float)
-        if self.kind == "torus-1d":
-            return np.mod(x, 1.0)
         if not np.all(self.contains(x)):
-            raise DomainError("point outside the unit interval")
-        return x
+            raise DomainError("point outside the %s domain" % self.kind)
+        return np.mod(x, 1.0) if self.kind == "torus-1d" else x
 
 
 # ---------------------------------------------------------------------------
@@ -232,23 +238,6 @@ class ExplicitEigenvalues(EigenvalueRule):
 # ---------------------------------------------------------------------------
 
 
-def _unit_circle_powers(theta, freqs):
-    """Table of exp(i*f*theta) for f = min(freqs)..max(freqs), one row per node.
-
-    One exact anchor column, then each node's row is rotated stepwise by
-    exp(i*theta); phase drift grows like (max - min) * eps, far below the
-    tolerances used here.  Returns the table and the table column of each
-    requested frequency.
-    """
-    theta = np.asarray(theta, dtype=float)
-    f_lo = int(freqs.min())
-    out = np.empty((theta.size, int(freqs.max()) - f_lo + 1), dtype=complex)
-    out[:, 0] = np.exp(1j * f_lo * theta)
-    out[:, 1:] = np.exp(1j * theta)[:, None]
-    np.multiply.accumulate(out, axis=1, out=out)
-    return out, freqs - f_lo
-
-
 def _geometric_rows(first, ratio, count):
     """Rows first * ratio**k for k < count, each one n-vector multiply."""
     out = np.empty((count, np.size(ratio)), dtype=complex)
@@ -258,21 +247,47 @@ def _geometric_rows(first, ratio, count):
     return out
 
 
-def _weighted_moments(theta, v, top):
-    """S(f) = sum_i v_i exp(i*f*theta_i) for f = 0..top, as one product.
+def _split_tables(theta, v, top):
+    """Anchor and rotation tables for the frequencies f = c*B + b <= top.
 
-    With f = c*B + b and B = isqrt(top) + 1, S(f) is entry (c, b) of A R^T:
-    the rotation table R holds exp(i*b*theta_i) for b < B and the anchor table
-    A holds v_i exp(i*c*B*theta_i), both built frequency-major from the one
-    exact ``exp(i*theta)``.  Memory stays at O(n sqrt(top)).  The recurrence
-    steps add (B + C) * eps of drift; the rounding of exp(i*theta) itself
-    grows with f to about top * eps, the order of the rounding of the
-    argument f*theta in a direct ``exp``.
+    B = isqrt(top) + 1.  The rotation table R holds exp(i*b*theta_i) for
+    b < B and the anchor table A holds v_i exp(i*c*B*theta_i); both are
+    powers of the one exact ``exp(i*theta)``, e^{iB theta} being one more
+    step of R, so each row costs one n-vector multiply and memory stays at
+    O(n sqrt(top)).
     """
     step = math.isqrt(top) + 1
     rotations = _geometric_rows(1.0, np.exp(1j * theta), step + 1)
     anchors = _geometric_rows(v, rotations[step], -(-(top + 1) // step))
-    return (anchors @ rotations[:step].T).ravel()[: top + 1]
+    return anchors, rotations[:step]
+
+
+def _weighted_moments(theta, v, top):
+    """S(f) = sum_i v_i exp(i*f*theta_i) for f = 0..top, as one product.
+
+    With f = c*B + b, S(f) is entry (c, b) of A R^T for the tables of
+    ``_split_tables``, both powers of exp(i*theta) by the one recurrence of
+    ``_geometric_rows``.  The recurrence steps add (B + C) * eps of drift;
+    the rounding of exp(i*theta) itself grows with f to about top * eps, the
+    order of the rounding of the argument f*theta in a direct ``exp``.
+    """
+    anchors, rotations = _split_tables(theta, v, top)
+    return (anchors @ rotations.T).ravel()[: top + 1]
+
+
+def _trig_series(theta, coef):
+    """sum_f coef[f] exp(i*f*theta) at each theta, f = 0..len(coef) - 1.
+
+    The transposed contraction of ``_weighted_moments``: with coef laid out
+    as a C x B table M, the series at theta_i is sum_c A[c, i] (M R)[c, i].
+    """
+    theta = np.asarray(theta, dtype=float)
+    anchors, rotations = _split_tables(theta.ravel(), 1.0, coef.size - 1)
+    table = np.zeros(anchors.shape[0] * rotations.shape[0], dtype=coef.dtype)
+    table[: coef.size] = coef
+    table = table.reshape(anchors.shape[0], rotations.shape[0])
+    out = np.einsum("ci,ci->i", anchors, table @ rotations)
+    return out.reshape(theta.shape)
 
 
 class FourierBasis:
@@ -296,8 +311,9 @@ class FourierBasis:
         ks = np.atleast_1d(np.asarray(ks, dtype=np.int64))
         x = self.domain.canonical(np.atleast_1d(x))
         freqs = self.frequency(ks)
-        powers, cols = _unit_circle_powers(TWO_PI * x, np.abs(freqs))
-        out = np.take(powers, cols, axis=1)
+        rows = _geometric_rows(1.0, np.exp(1j * (TWO_PI * x)),
+                               int(np.abs(freqs).max()) + 1)
+        out = rows[np.abs(freqs)].T
         # negative frequencies are the conjugates of their |f| columns
         out.imag *= np.where(freqs < 0, -1.0, 1.0)
         return out
@@ -354,12 +370,20 @@ class FourierBasis:
         x = np.asarray(x, dtype=float)
         return np.full(x.shape, float(m - 1))
 
+    def spectral_sum_cdf(self, m, x):
+        """sum_{k < m} F_k(x), F_k the distribution function of |eta_k|^2."""
+        return (m - 1) * np.asarray(x, dtype=float)
+
     def weighted_tail_at(self, rule, m, x):
         x = np.asarray(x, dtype=float)
         return np.full(x.shape, rule.tail(m)), 0.0
 
     def weighted_tail_max(self, rule, m):
         return rule.tail(m)
+
+    def weighted_tail_cdf(self, rule, m, x):
+        """sum_{k >= m} lambda_k F_k(x); every |eta_k|^2 is uniform."""
+        return rule.tail(m) * np.asarray(x, dtype=float)
 
     def kernel_sum_at(self, rule, x, y, eps):
         """sum_k lambda_k eta_k(x) conj(eta_k(y)) with residual control."""
@@ -377,13 +401,13 @@ class FourierBasis:
             raise TruncationError(
                 "off-diagonal kernel series for rule %r cannot reach eps=%.3e"
                 % (rule.name, eps))
-        ks = np.arange(1, cut + 1)
-        lam = rule.values(ks)
-        keep = lam > 0.0
-        ks = ks[keep]
-        lam = lam[keep]
-        fx, fy = self.eval_block(ks, [x, y])
-        return complex(np.sum(lam * fx * np.conj(fy))), residual
+        lam = rule.values(np.arange(1, cut + 1))
+        # frequency f >= 0 carries lambda_{2f} (lambda_1 at f = 0) and
+        # frequency -f carries lambda_{2f+1}
+        theta = TWO_PI * delta
+        val = (_trig_series(theta, np.concatenate([lam[:1], lam[1::2]]))
+               + _trig_series(-theta, np.concatenate([[0.0], lam[2::2]])))
+        return complex(val), residual
 
 
 class CosineBasis:
@@ -401,13 +425,10 @@ class CosineBasis:
         ks = np.atleast_1d(np.asarray(ks, dtype=np.int64))
         x = self.domain.canonical(np.atleast_1d(x))
         freqs = ks - 1
-        # the constant column is overwritten, so frequency 0 borrows column 1
-        powers, cols = _unit_circle_powers(math.pi * x, np.maximum(freqs, 1))
-        # real parts are the even columns of the float view; gathering there
-        # spares np.take a contiguous copy of powers.real
-        out = np.take(powers.view(float), 2 * cols, axis=1)
-        out *= math.sqrt(2.0)
-        out[:, freqs == 0] = 1.0
+        rows = _geometric_rows(1.0, np.exp(1j * (math.pi * x)),
+                               int(freqs.max()) + 1)
+        out = rows.real[freqs].T
+        out *= np.where(freqs == 0, 1.0, math.sqrt(2.0))
         return out
 
     def weighted_gram(self, rows, cols, x, v):
@@ -477,35 +498,47 @@ class CosineBasis:
         block = self.eval_block(np.arange(1, m), x.ravel())
         return np.sum(np.square(block, out=block), axis=1).reshape(x.shape)
 
+    def spectral_sum_cdf(self, m, x):
+        """sum_{k < m} F_k(x) for m >= 2, F_k the distribution function of
+        |eta_k|^2 (see ``weighted_tail_cdf``)."""
+        x = np.asarray(x, dtype=float)
+        coef = np.concatenate([[0.0], 1.0 / np.arange(1, m - 1)])
+        return (m - 1) * x + _trig_series(TWO_PI * x, coef).imag / TWO_PI
+
     def _osc_tail(self, rule, m, theta):
         """sum_{k >= m} lambda_k cos((k-1) theta) for m >= 2, with residual."""
-        if rule.name == "sobolev" and rule.s == 1.0:
-            full = _cos_series_inverse_sq(theta)
-            j = np.arange(1, m - 1, dtype=float)
-            if j.size:
-                partial = np.sum((1.0 + j * j) ** (-1.0)
-                                 * np.cos(np.outer(np.atleast_1d(theta), j)), axis=1)
-            else:
-                partial = 0.0
-            return full - partial, 0.0
         if rule.name == "geometric":
-            z = np.exp(1j * np.asarray(theta, dtype=float))
-            w = rule.q * z
-            val = rule.scale * np.real(w ** (m - 1) / (1.0 - w))
-            return val, 0.0
+            w = rule.q * np.exp(1j * np.asarray(theta, dtype=float))
+            return rule.scale * np.real(w ** (m - 1) / (1.0 - w)), 0.0
+        if rule.name == "sobolev" and rule.s == 1.0:
+            return (_cos_series_inverse_sq(theta)
+                    - _freq_series(rule, 2, m - 1, theta).real), 0.0
         cut = rule.rank if rule.rank is not None else 1 << 17
         cut = max(cut, m)
-        residual = rule.tail(cut + 1)
-        ks = np.arange(m, cut + 1)
-        lam = rule.values(ks)
-        keep = lam > 0.0
-        ks, lam = ks[keep], lam[keep]
-        theta = np.atleast_1d(np.asarray(theta, dtype=float))
-        val = np.zeros(theta.shape)
-        for lo in range(0, ks.size, 4096):
-            blk = slice(lo, lo + 4096)
-            val += np.cos(np.outer(theta, ks[blk] - 1)) @ lam[blk]
-        return val, residual
+        return (_freq_series(rule, m, cut, theta).real,
+                rule.tail(cut + 1))
+
+    def _osc_cdf(self, rule, m, theta):
+        """sum_{k >= m} lambda_k sin((k-1) theta) / (k-1) for m >= 2 and
+        theta in [0, 2 pi]."""
+        if rule.name == "sobolev" and rule.s == 1.0:
+            # sum_{j>=1} sin(j t)/(j(1+j^2))
+            #   = (pi - t)/2 - (pi/2) sinh(pi - t)/sinh(pi) on [0, 2 pi]
+            full = (0.5 * (math.pi - theta) - 0.5 * math.pi
+                    * np.sinh(math.pi - theta) / math.sinh(math.pi))
+        elif rule.name == "geometric":
+            # sum_{j>=1} q^j sin(j t)/j = arg(1 - q e^{it})^{-1}
+            full = rule.scale * np.arctan2(rule.q * np.sin(theta),
+                                           1.0 - rule.q * np.cos(theta))
+        else:
+            # the remainder of the distribution function, this series over
+            # 2 pi, is at most tail(cut+1) / (2 pi cut)
+            cut = rule.rank if rule.rank is not None else 1 << 16
+            while (rule.rank is None and cut < (1 << 22)
+                   and rule.tail(cut + 1) / (TWO_PI * cut) > 1e-12):
+                cut *= 2
+            return _freq_series(rule, m, cut, theta, sine=True).imag
+        return full - _freq_series(rule, 2, m - 1, theta, sine=True).imag
 
     def weighted_tail_at(self, rule, m, x):
         """(sum_{k >= m} lambda_k |eta_k(x)|^2, residual bound)."""
@@ -522,6 +555,17 @@ class CosineBasis:
             return rule.value(1) + 2.0 * rule.tail(2)
         return 2.0 * rule.tail(m)
 
+    def weighted_tail_cdf(self, rule, m, x):
+        """sum_{k >= m} lambda_k F_k(x), F_k the distribution function of
+        |eta_k|^2: F_1(x) = x, F_k(x) = x + sin(2 pi f x) / (2 pi f) with
+        f = k - 1."""
+        x = np.asarray(x, dtype=float)
+        tail = rule.tail(m)
+        if tail == 0.0:
+            return tail * x
+        osc = self._osc_cdf(rule, max(m, 2), TWO_PI * (x % 1.0))
+        return tail * x + osc / TWO_PI
+
     def kernel_sum_at(self, rule, x, y, eps):
         """Product expansion: 2 cos(a) cos(b) = cos(a-b) + cos(a+b)."""
         x = float(x)
@@ -534,6 +578,17 @@ class CosineBasis:
                 "off-diagonal kernel series for rule %r cannot reach eps=%.3e"
                 % (rule.name, eps))
         return complex(rule.value(1) + osc[0] + osc[1]), residual
+
+
+def _freq_series(rule, lo, hi, theta, sine=False):
+    """sum_{k=lo}^{hi} lambda_k exp(i f theta) at each theta, f = k - 1 >= 1;
+    with ``sine`` each term is divided by f."""
+    f = np.arange(lo - 1, hi)
+    coef = np.zeros(hi)
+    coef[lo - 1:] = rule.values(f + 1)
+    if sine:
+        coef[lo - 1:] /= f
+    return _trig_series(theta, coef)
 
 
 def _cos_series_inverse_sq(theta):

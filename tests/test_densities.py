@@ -5,9 +5,9 @@ import pytest
 from scipy.integrate import quad
 
 from rkhslab import (DegenerateDensityError, ExplicitEigenvalues,
-                     PolynomialDecay, SamplingDensity, SobolevDecay,
-                     SpectralKernelModel, TruncationError, draw_nodes,
-                     get_basis, nodes_from_points, trial_rng)
+                     GeometricDecay, PolynomialDecay, SamplingDensity,
+                     SobolevDecay, SpectralKernelModel, TruncationError,
+                     draw_nodes, get_basis, nodes_from_points, trial_rng)
 from rkhslab.densities import NormalizedKernelView, invert_cosine_component_cdf
 
 
@@ -98,6 +98,21 @@ def test_kind_validation():
 
 def test_cdf_matches_integral():
     d = SamplingDensity(sob(), "spectral-mix", m=3)
+    assert d.cdf(np.array([0.0]))[0] == pytest.approx(0.0, abs=1e-12)
+    assert d.cdf(np.array([1.0]))[0] == pytest.approx(1.0, abs=1e-10)
+    for a, b in ((0.0, 0.2), (0.35, 0.4), (0.7, 1.0)):
+        cell, _ = quad(lambda t: float(d.evaluate(np.array([t]))[0]), a, b,
+                       epsabs=1e-12, epsrel=1e-12, limit=200)
+        jump = float(d.cdf(np.array([b]))[0] - d.cdf(np.array([a]))[0])
+        assert jump == pytest.approx(cell, abs=1e-9)
+
+
+@pytest.mark.parametrize("rule", [SobolevDecay(2.0), GeometricDecay(0.6)])
+def test_cdf_of_other_tails_matches_integral(rule):
+    # Sobolev s = 2 sums its tail series term by term; geometric decay has
+    # closed forms of its own
+    model = SpectralKernelModel(get_basis("cosine"), rule)
+    d = SamplingDensity(model, "spectral-mix", m=3)
     assert d.cdf(np.array([0.0]))[0] == pytest.approx(0.0, abs=1e-12)
     assert d.cdf(np.array([1.0]))[0] == pytest.approx(1.0, abs=1e-10)
     for a, b in ((0.0, 0.2), (0.35, 0.4), (0.7, 1.0)):

@@ -5,9 +5,10 @@ import numpy as np
 import pytest
 
 from rkhslab import (DomainError, ExplicitEigenvalues, GeometricDecay,
-                     PolynomialDecay, SobolevDecay, SpectralKernelModel,
-                     get_basis)
-from rkhslab.kernels import TWO_PI, _weighted_moments, grid_maximum
+                     PolynomialDecay, SamplingDensity, SobolevDecay,
+                     SpectralKernelModel, get_basis, nodes_from_points)
+from rkhslab.kernels import (TWO_PI, _trig_series, _weighted_moments,
+                             grid_maximum)
 
 PI_COTH_PI = math.pi / math.tanh(math.pi)
 
@@ -339,3 +340,91 @@ def test_weighted_moments_at_a_large_top():
     assert got.shape == (top + 1,)
     want = np.exp(1j * np.outer(freqs, theta)) @ v
     assert np.max(np.abs(got[freqs] - want)) <= 1e-12 * np.sum(np.abs(v))
+
+
+def _grid_points(rng, count):
+    """Points of [0, 1) on a 2^-30 grid, so f * x is exact for f < 2^23."""
+    return rng.integers(0, 2 ** 30, count) / 2.0 ** 30
+
+
+def test_cosine_generic_tail_matches_direct_sum():
+    # Sobolev s = 2 has no closed-form cosine series: the tail energy is a
+    # partial sum to 2^17 plus a reported residual
+    model = SpectralKernelModel(get_basis("cosine"), SobolevDecay(2.0))
+    x = np.concatenate([[0.0, 0.5, 1.0],
+                        _grid_points(np.random.default_rng(21), 6)])
+    ks = np.arange(1, (1 << 17) + 1)
+    lam = model.eigenvalues(ks)
+    # |eta_k(x)|^2 = 1 + cos(2 pi (k-1) x) for k >= 2, and 1 for k = 1
+    energy = 1.0 + np.cos(TWO_PI * np.mod(np.outer(x, ks - 1), 1.0))
+    energy[:, 0] = 1.0
+    for m in (1, 2, 5, 40):
+        got, res = model.tail_energy_at(m, x)
+        want = energy[:, m - 1:] @ lam[m - 1:]
+        assert np.max(np.abs(got - want)) <= res + 1e-13
+    _, res = model.tail_energy_at(1, x)
+    assert np.max(np.abs(model.diag_value(x) - energy @ lam)) <= res + 1e-13
+
+
+def test_fourier_generic_kernel_matches_direct_sum():
+    # polynomial decay has no closed-form Fourier kernel: the series runs
+    # over the first 2^20 eigenvalues and reports the rest as residual
+    model = SpectralKernelModel(get_basis("fourier"), PolynomialDecay(2.0))
+    cut = 1 << 20
+    ks = np.arange(1, cut + 1)
+    lam = model.eigenvalues(ks)
+    freqs = model.basis.frequency(ks)
+    pairs = np.concatenate([[0.0, 0.5, 0.125, 0.875],
+                            _grid_points(np.random.default_rng(22), 4)])
+    for x, y in pairs.reshape(-1, 2):
+        # x - y and f * (x - y) are exact on the grid
+        want = np.sum(lam * np.exp(2j * math.pi
+                                   * np.mod(freqs * (x - y), 1.0)))
+        got = model.eval_kernel(x, y)
+        assert abs(got - want) <= model.tail_sum(cut + 1) + 1e-13
+
+
+@pytest.mark.parametrize("n, lo, hi", [(2000, 1, 1), (2000, 1, 2),
+                                       (2000, 1, 9), (1000, 1, 64),
+                                       (1000, 30, 41)])
+def test_eval_block_narrow_many_node_blocks(n, lo, hi):
+    x = _grid_points(np.random.default_rng(n + hi), n)
+    ks = np.arange(lo, hi + 1)
+    fb = get_basis("fourier")
+    want = np.exp(2j * math.pi * np.mod(np.outer(x, fb.frequency(ks)), 1.0))
+    np.testing.assert_allclose(fb.eval_block(ks, x), want,
+                               rtol=0.0, atol=1e-13)
+    f = ks - 1
+    want = np.where(f == 0, 1.0, math.sqrt(2.0)
+                    * np.cos(math.pi * np.mod(np.outer(x, f), 2.0)))
+    np.testing.assert_allclose(get_basis("cosine").eval_block(ks, x), want,
+                               rtol=0.0, atol=1e-13 * math.sqrt(2.0))
+
+
+@pytest.mark.parametrize("top", [0, 1, 7, 2 ** 16])
+def test_trig_series_matches_direct_sums(top):
+    rng = np.random.default_rng(44)
+    # angles on a 2^-30 grid make f * theta exact for f <= top
+    theta = rng.integers(0, int(TWO_PI * 2 ** 30), 50) / 2.0 ** 30
+    coef = rng.standard_normal(top + 1)
+    coef[rng.integers(0, top + 1, 5)] = 0.0
+    got = _trig_series(theta.reshape(5, 10), coef)
+    assert got.shape == (5, 10)
+    want = np.zeros(theta.shape, dtype=complex)
+    for lo in range(0, top + 1, 4096):
+        f = np.arange(lo, min(lo + 4096, top + 1))
+        want += np.exp(1j * np.outer(theta, f)) @ coef[f]
+    assert np.max(np.abs(got.ravel() - want)) <= 1e-12 * np.sum(np.abs(coef))
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_torus_rejects_non_finite_points(bad):
+    fb = get_basis("fourier")
+    x = np.array([0.1, bad, 0.7])
+    with pytest.raises(DomainError):
+        fb.eval_block([1, 2, 3], x)
+    with pytest.raises(DomainError):
+        fb.weighted_gram([1, 2], [1, 2, 3], x, np.ones(3))
+    density = SamplingDensity(poly_fourier(), "spectral-mix", m=3)
+    with pytest.raises(DomainError):
+        nodes_from_points(density, x)
