@@ -14,14 +14,13 @@ from .leastsq import (Coefficients, DesignSystem, assemble_design,
                       dump_design, gram_eig_check, recover)
 from .worstcase import (BOUND_NAMES, FAIL_MULT, BoundReport, bound, choose_m,
                         exact_wce_discretization, exact_wce_recovery,
-                        fail_prob, max_m_under,
-                        mc_sup_quadratic, mc_sup_singular,
+                        max_m_under, mc_sup_quadratic, mc_sup_singular,
                         model_bound_inputs, power_iteration_norm,
                         recovery_error_matrix, wce_nullspace_component)
 from .concentration import (KAPPA, KAPPA_SQ, WILSON_Z, KernelVectorFamily,
                             SphereVectorFamily, TailExperiment,
                             TwoPointVectorFamily, chernoff_c, chernoff_d,
-                            default_t_grid, deviation_threshold,
+                            default_t_grid, deviation_threshold, fail_prob,
                             deviation_trial, eig_tail_envelopes,
                             spectral_budget, tail_envelope, wilson_interval)
 from .experiment import (ExperimentConfig, ExperimentReport, build_config,

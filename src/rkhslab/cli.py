@@ -45,10 +45,7 @@ def main(argv=None):
         cfg = experiment.build_config(raw, seed=args.seed, out=args.out,
                                       threads=args.threads)
         report = experiment.run(cfg)
-    except ConfigError as exc:
-        print("config error: %s" % exc, file=sys.stderr)
-        return 2
-    except OSError as exc:
+    except (ConfigError, OSError) as exc:
         print("config error: %s" % exc, file=sys.stderr)
         return 2
 

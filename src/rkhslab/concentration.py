@@ -122,6 +122,11 @@ def deviation_trial(family, n, rng):
     return float(max(abs(eigs[0]), abs(eigs[-1])))
 
 
+def fail_prob(n, r, mult=1.0):
+    """mult * n^(1-r), the generic failure-probability envelope."""
+    return mult * float(n) ** (1.0 - float(r))
+
+
 def tail_envelope(n, t, m_bound):
     """min(1, 2^(3/4) n exp(-t^2 n / (21 M^2)))."""
     val = CHERNOFF_MULT * n * math.exp(-t * t * n

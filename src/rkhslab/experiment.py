@@ -19,16 +19,15 @@ from . import __version__
 from .concentration import (DEVIATION_CONSTANTS, KernelVectorFamily,
                             SphereVectorFamily, TailExperiment,
                             TwoPointVectorFamily, binom_se, default_t_grid,
-                            deviation_threshold, spectral_budget)
+                            deviation_threshold, fail_prob, spectral_budget)
 from .densities import SamplingDensity, draw_nodes
 from .errors import ConfigError, DegenerateDensityError, RankDeficientError
 from .kernels import (ExplicitEigenvalues, GeometricDecay, PolynomialDecay,
                       SobolevDecay, SpectralKernelModel)
 from .leastsq import assemble_design, gram_eig_check
 from .worstcase import (FAIL_MULT, bound, choose_m, exact_wce_discretization,
-                        exact_wce_recovery, fail_prob, max_m_under,
-                        mode_budget, model_bound_inputs,
-                        wce_nullspace_component)
+                        exact_wce_recovery, max_m_under, mode_budget,
+                        model_bound_inputs, wce_nullspace_component)
 
 M_RULES = ("fixed", "auto", "max-cond-7", "max-cond-10")
 _SWEEP_STREAM_STRIDE = 1_000_000
@@ -194,20 +193,21 @@ def _validate(cfg):
 
 
 def build_model(cfg):
-    if cfg.decay == "poly":
-        if not cfg.s > 0.5:
-            raise ConfigError("s: poly decay needs s > 0.5")
-        rule = PolynomialDecay(cfg.s)
-    elif cfg.decay == "sobolev":
-        if not cfg.s > 0.5:
-            raise ConfigError("s: sobolev decay needs s > 0.5")
-        rule = SobolevDecay(cfg.s)
-    elif cfg.decay == "geometric":
-        if not 0.0 < cfg.q < 1.0:
-            raise ConfigError("q: geometric ratio must be in (0, 1)")
-        rule = GeometricDecay(cfg.q, cfg.scale)
-    else:
-        rule = ExplicitEigenvalues(list(cfg.values))
+    # the rules own their parameter ranges; a rule's ValueError becomes a
+    # ConfigError on the key it was built from
+    steps = {
+        "poly": [("s", lambda: PolynomialDecay(cfg.s))],
+        "sobolev": [("s", lambda: SobolevDecay(cfg.s))],
+        # the ratio alone first, so a bad scale is reported as scale
+        "geometric": [("q", lambda: GeometricDecay(cfg.q)),
+                      ("scale", lambda: GeometricDecay(cfg.q, cfg.scale))],
+        "explicit": [("values", lambda: ExplicitEigenvalues(cfg.values))],
+    }[cfg.decay]
+    for key, make in steps:
+        try:
+            rule = make()
+        except ValueError as exc:
+            raise ConfigError("%s: %s" % (key, exc)) from None
     return SpectralKernelModel(cfg.basis, rule, atom_mass=cfg.atom_mass)
 
 
@@ -423,8 +423,6 @@ _DISCRETIZE_HEADER = [
     "final_exceeded", "trunc_dim",
 ]
 
-_DISCRETIZE_TRUNC_DEFAULT = 512
-
 
 def run_discretize(cfg):
     model = build_model(cfg)
@@ -432,9 +430,6 @@ def run_discretize(cfg):
         raise ConfigError("atom_mass: discretization treats the separable "
                           "part only; set atom_mass = 0")
     n = cfg.n
-    trunc = cfg.trunc
-    if trunc is None:
-        trunc = min(model.trunc_index, _DISCRETIZE_TRUNC_DEFAULT)
     inputs = model_bound_inputs(model, n, cfg.r, 2)
     if cfg.weighted:
         density = SamplingDensity(model, "kernel-diag")
@@ -449,7 +444,7 @@ def run_discretize(cfg):
         nodes = draw_nodes(density, n, cfg.seed, stream=i)
         weights = 1.0 / nodes.density_values if cfg.weighted else None
         val = exact_wce_discretization(model, nodes, weights=weights,
-                                       trunc=trunc)
+                                       trunc=cfg.trunc)
         return {"trial": i, "stream": i, "n": n, "flagged": 0,
                 "weighted": int(cfg.weighted), "value": val.value,
                 "residual": val.residual, "upper": val.upper,
@@ -465,7 +460,7 @@ def run_discretize(cfg):
     rate, ok = within_budget(exceed, cfg.trials, budget)
     summary = {
         "n": n, "trials": cfg.trials, "weighted": cfg.weighted,
-        "trunc": trunc,
+        "trunc": recs[0]["trunc_dim"],
         "exceed_count": exceed, "exceed_rate": rate,
         "fail_prob_bound": budget,
         "slack_3se": three_se_slack(rate, cfg.trials),

@@ -20,11 +20,12 @@ the model tolerance cannot be met.
 
 Every value exp(i*f*theta) at a set of angles comes from one recurrence:
 ``_geometric_rows`` takes powers of the one exact ``exp(i*theta)``, one
-n-vector multiply per frequency.  Basis blocks gather its rows; weighted
-moments and trigonometric series split f = c*B + b with B near sqrt(top) and
-contract a rotation table (b < B) with an anchor table (steps of
-exp(i*B*theta)).  Only closed forms (geometric sums, the cosine series of
-1/(1+j^2) and its sine companion) evaluate trigonometric functions directly.
+n-vector multiply per frequency.  Basis blocks gather its rows, started at
+the exact exp(i*lo*theta) of their lowest frequency; weighted moments and
+trigonometric series split f = c*B + b with B near sqrt(top) and contract a
+rotation table (b < B) with an anchor table (steps of exp(i*B*theta)).  Only
+closed forms (geometric sums, the cosine series of 1/(1+j^2) and its sine
+companion) evaluate trigonometric functions directly.
 """
 
 import math
@@ -247,6 +248,14 @@ def _geometric_rows(first, ratio, count):
     return out
 
 
+def _power_rows(x, period, lo, hi):
+    """Rows exp(2*pi*i*f*x/period) for f = lo..hi, from the exact first row
+    (lo*x reduced modulo the period) by ``_geometric_rows`` steps."""
+    scale = TWO_PI / period
+    first = 1.0 if lo == 0 else np.exp(1j * (scale * np.mod(lo * x, period)))
+    return _geometric_rows(first, np.exp(1j * (scale * x)), hi - lo + 1)
+
+
 def _split_tables(theta, v, top):
     """Anchor and rotation tables for the frequencies f = c*B + b <= top.
 
@@ -311,9 +320,9 @@ class FourierBasis:
         ks = np.atleast_1d(np.asarray(ks, dtype=np.int64))
         x = self.domain.canonical(np.atleast_1d(x))
         freqs = self.frequency(ks)
-        rows = _geometric_rows(1.0, np.exp(1j * (TWO_PI * x)),
-                               int(np.abs(freqs).max()) + 1)
-        out = rows[np.abs(freqs)].T
+        mags = np.abs(freqs)
+        lo = int(mags.min())
+        out = _power_rows(x, 1.0, lo, int(mags.max()))[mags - lo].T
         # negative frequencies are the conjugates of their |f| columns
         out.imag *= np.where(freqs < 0, -1.0, 1.0)
         return out
@@ -425,9 +434,8 @@ class CosineBasis:
         ks = np.atleast_1d(np.asarray(ks, dtype=np.int64))
         x = self.domain.canonical(np.atleast_1d(x))
         freqs = ks - 1
-        rows = _geometric_rows(1.0, np.exp(1j * (math.pi * x)),
-                               int(freqs.max()) + 1)
-        out = rows.real[freqs].T
+        lo = int(freqs.min())
+        out = _power_rows(x, 2.0, lo, int(freqs.max())).real[freqs - lo].T
         out *= np.where(freqs == 0, 1.0, math.sqrt(2.0))
         return out
 

@@ -1,11 +1,14 @@
 """Weighted least-squares recovery from random nodes.
 
-The approximant lives in span{eta_1, ..., eta_{m-1}}.  Rows of the design
-matrix are the basis functions at the nodes divided by sqrt(density); a node
-with zero density contributes a zero row (same convention for the sample
-vector).  The normalized Gram H = (1/n) L* L concentrates around the identity
-when the nodes come from a suitable density, and everything downstream keys
-off its extreme eigenvalues.
+The approximant lives in span{eta_1, ..., eta_{m-1}}.  Rows of the design L
+are the basis functions at the nodes divided by sqrt(density); a node with
+zero density contributes a zero row (same convention for the samples).  The
+Gram H = (1/n) L* L concentrates around the identity for a suitable density.
+L is factored once, L = QR by Householder (Golub & Van Loan 5.2), and every
+consumer reads R: its singular values are those of L, so they give the Gram
+eigenvalues sigma^2 / n, the rank and the pseudo-inverse norm, and solves
+with L* L = R* R are two triangular solves.  The fit uses the semi-normal
+equations with one refinement step (Bjorck 1987).
 """
 
 import csv
@@ -13,8 +16,9 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import solve_triangular
+from scipy.linalg import get_lapack_funcs, solve_triangular
 
+from .concentration import fail_prob
 from .errors import RankDeficientError
 
 # columns below this singular-value ratio make the trial unusable
@@ -23,47 +27,51 @@ RANK_RTOL = 1e-10
 
 @dataclass
 class DesignSystem:
+    """Design L, its factor R (L = QR) and R's singular values, descending."""
+
     matrix: np.ndarray
-    gram: np.ndarray
-    eigs: np.ndarray
+    factor: np.ndarray
+    svals: np.ndarray
     n: int
-    m: int
     weights: np.ndarray
-    nodes: object = None
-    _svals: np.ndarray = None
+
+    @property
+    def gram(self):
+        return self.factor.conj().T @ self.factor / self.n
 
     @property
     def lambda_min(self):
-        return float(self.eigs[0])
+        return float(self.svals[-1]) ** 2 / self.n
 
     @property
     def lambda_max(self):
-        return float(self.eigs[-1])
+        return float(self.svals[0]) ** 2 / self.n
 
     def singular_values(self):
-        if self._svals is None:
-            self._svals = np.linalg.svd(self.matrix, compute_uv=False)
-        return self._svals
+        return self.svals
 
     @property
     def full_rank(self):
-        # the Gram eigenvalues bottom out at eps*lambda_max, which hides
-        # near-coincident nodes; rank decisions need the singular values
-        sv = self.singular_values()
-        return float(sv[-1]) > RANK_RTOL * float(sv[0])
+        return float(self.svals[-1]) > RANK_RTOL * float(self.svals[0])
 
     def pinv_norm(self, method="eig"):
-        """Operator norm of (L*L)^(-1) L*, equal to the reciprocal smallest
-        singular value of L."""
-        if method == "eig":
-            val = self.n * self.lambda_min
-            if val <= 0.0:
-                return math.inf
-            return 1.0 / math.sqrt(val)
-        if method == "svd":
-            smin = float(self.singular_values()[-1])
-            return 1.0 / smin if smin > 0.0 else math.inf
-        raise ValueError("method must be 'eig' or 'svd'")
+        """Operator norm of (L*L)^(-1) L*, the reciprocal smallest singular
+        value of L, read from lambda_min ("eig") or from R ("svd")."""
+        if method not in ("eig", "svd"):
+            raise ValueError("method must be 'eig' or 'svd'")
+        smin = (math.sqrt(self.n * self.lambda_min) if method == "eig"
+                else float(self.svals[-1]))
+        return 1.0 / smin if smin > 0.0 else math.inf
+
+    def solve(self, rhs):
+        """(L*L)^(-1) rhs as R^(-1) R^(-*) rhs; raises RankDeficientError
+        on a rank-deficient design, which the runner flags."""
+        if not self.full_rank:
+            raise RankDeficientError(
+                "design matrix is rank deficient (lambda_min=%.3e)"
+                % self.lambda_min)
+        half = solve_triangular(self.factor, rhs, trans="C", lower=False)
+        return solve_triangular(self.factor, half, lower=False)
 
 
 @dataclass
@@ -73,7 +81,7 @@ class Coefficients:
 
 
 def assemble_design(model, density, nodes, m):
-    """Build the weighted design and its Gram spectral data.
+    """Build the weighted design and factor it.
 
     Never raises on rank deficiency; callers inspect ``full_rank`` and flag
     the trial."""
@@ -90,11 +98,16 @@ def assemble_design(model, density, nodes, m):
                        0.0)
     matrix = model.basis.eval_block(np.arange(1, m), nodes.x)
     matrix *= weights[:, None]
-    gram = matrix.conj().T @ matrix / n
-    gram = 0.5 * (gram + gram.conj().T)
-    eigs = np.linalg.eigvalsh(gram)
-    return DesignSystem(matrix=matrix, gram=gram, eigs=eigs, n=n, m=m,
-                        weights=weights, nodes=nodes)
+    # Householder QR in place on one Fortran copy; R is its upper triangle
+    work = np.array(matrix, order="F")
+    geqrf, = get_lapack_funcs(("geqrf",), (work,))
+    qr, _, _, info = geqrf(work, overwrite_a=True)
+    if info != 0:
+        raise ValueError("geqrf failed with info=%d" % info)
+    factor = np.triu(qr[: m - 1])
+    return DesignSystem(matrix=matrix, factor=factor,
+                        svals=np.linalg.svd(factor, compute_uv=False), n=n,
+                        weights=weights)
 
 
 def recover(model, density, nodes, m, samples, design=None):
@@ -106,14 +119,12 @@ def recover(model, density, nodes, m, samples, design=None):
     """
     ds = design if design is not None else assemble_design(model, density,
                                                            nodes, m)
-    if not ds.full_rank:
-        raise RankDeficientError(
-            "design matrix is rank deficient (lambda_min=%.3e)"
-            % ds.lambda_min)
+    L = ds.matrix
     g = np.asarray(samples) * ds.weights
-    q, rr = np.linalg.qr(ds.matrix)
-    coef = solve_triangular(rr, q.conj().T @ g, lower=False)
-    residual = float(np.linalg.norm(ds.matrix @ coef - g))
+    # semi-normal equations plus one refinement step
+    coef = ds.solve(L.conj().T @ g)
+    coef += ds.solve(L.conj().T @ (g - L @ coef))
+    residual = float(np.linalg.norm(L @ coef - g))
     return Coefficients(values=coef, residual_norm=residual)
 
 
@@ -137,7 +148,7 @@ def gram_eig_check(ds, r=None):
         "norm_ok": bool(lo <= norm <= hi),
     }
     if r is not None:
-        report["fail_prob_bound"] = float(n) ** (1.0 - float(r))
+        report["fail_prob_bound"] = fail_prob(n, r)
     return report
 
 

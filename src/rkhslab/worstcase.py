@@ -25,13 +25,11 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.linalg import cho_factor, cho_solve
 from scipy.sparse.linalg import LinearOperator, eigsh
 
 from .concentration import (CHERNOFF_DENOM, CHERNOFF_MULT,
                             DEVIATION_CONSTANTS, KAPPA_SQ, deviation_level,
                             spectral_budget)
-from .errors import RankDeficientError
 from .leastsq import assemble_design
 
 # multiplier in the recovery failure probability FAIL_MULT * n^(1-r)
@@ -133,7 +131,9 @@ def _lowrank_plus_diag_norm(d, C):
     & Sorensen 1978).  Every probe keeps 1e-15 relative inside the bracket,
     which certifies the upper end once Newton has converged; a step that is
     not finite falls back to the midpoint.  The upper end is returned once
-    the bracket is 1e-14 relative wide, so the value errs on the high side.
+    the bracket is 1e-14 relative wide.  What is certified is that upper
+    end, up to the rounding of the ``eigh`` sign test that places each
+    probe: the value can sit a few eps below the exact eigenvalue.
     The first probe sits 1e-13 above max(d) relative to the larger of max(d)
     and ||C||^2, never in absolute terms, so a top eigenvalue far below 1 is
     not rounded down to max(d).
@@ -180,20 +180,14 @@ def _lowrank_plus_diag_norm(d, C):
 def _recovery_parts(model, density, nodes, m, trunc, design):
     ds = design if design is not None else assemble_design(model, density,
                                                            nodes, m)
-    if not ds.full_rank:
-        raise RankDeficientError(
-            "design matrix is rank deficient (lambda_min=%.3e)"
-            % ds.lambda_min)
-    n, w = ds.n, ds.weights
+    w = ds.weights
     N = _pick_trunc(model, trunc, m - 1)
     sig = model.singular_values(np.arange(1, N + 1))
     # L* G with G the design scaled by sig: sum_i w_i^2 conj(eta_j) eta_k sig_k
     cross = model.basis.weighted_gram(np.arange(1, m), np.arange(1, N + 1),
                                       nodes.x, w ** 2)
     cross *= sig[None, :]
-    cho = cho_factor(n * ds.gram)
-    W = cho_solve(cho, cross)
-    C = -W
+    C = -ds.solve(cross)
     head = np.arange(m - 1)
     C[head, head] += sig[head]
     d = np.concatenate([np.zeros(m - 1), sig[m - 1:] ** 2])
@@ -207,14 +201,6 @@ def _recovery_parts(model, density, nodes, m, trunc, design):
     return ds, C, d, sig, N, resid
 
 
-def _dense_error_matrix(C, sig, m, N):
-    E = np.zeros((N, N), dtype=C.dtype)
-    E[: m - 1, :] = C
-    idx = np.arange(m - 1, N)
-    E[idx, idx] = sig[idx]
-    return E
-
-
 # ---------------------------------------------------------------------------
 # worst-case values
 # ---------------------------------------------------------------------------
@@ -226,8 +212,11 @@ def recovery_error_matrix(model, density, nodes, m, trunc=None, design=None):
                                               trunc, design)
     if N > 2000:
         raise ValueError("dense error matrix capped at N=2000, got %d" % N)
-    return ErrorMatrix(matrix=_dense_error_matrix(C, sig, m, N),
-                       residual=resid)
+    E = np.zeros((N, N), dtype=C.dtype)
+    E[: m - 1, :] = C
+    idx = np.arange(m - 1, N)
+    E[idx, idx] = sig[idx]
+    return ErrorMatrix(matrix=E, residual=resid)
 
 
 def exact_wce_recovery(model, density, nodes, m, trunc=None, design=None):
@@ -292,7 +281,8 @@ def wce_nullspace_component(atom_mass, nodes, design):
     The nullspace Gram at distinct nodes is atom_mass times the identity, so
     the sup is an (m-1)-dimensional eigenvalue problem.  When the Gram
     eigenvalues are at least one half the value provably stays below
-    2 atom_mass max(1/rho) / n; the report carries that envelope.
+    2 atom_mass max(1/rho) / n; the report carries that envelope.  Raises
+    RankDeficientError on a rank-deficient design.
     """
     atom_mass = float(atom_mass)
     if atom_mass < 0.0:
@@ -300,21 +290,18 @@ def wce_nullspace_component(atom_mass, nodes, design):
     x = np.asarray(nodes.x, dtype=float)
     if np.unique(x).size != x.size:
         raise ValueError("nodes must be distinct")
-    ds = design
-    n = ds.n
-    w = ds.weights
-    cho = cho_factor(n * ds.gram)
-    Mw = cho_solve(cho, ds.matrix.conj().T) * w[None, :]
+    n, w = design.n, design.weights
+    Mw = design.solve(design.matrix.conj().T) * w[None, :]
     small = Mw @ Mw.conj().T
     small = 0.5 * (small + small.conj().T)
     component = atom_mass * float(np.linalg.eigvalsh(small)[-1])
-    max_w_sq = float(np.max(w ** 2))
-    envelope = 2.0 * atom_mass * max_w_sq / n
+    envelope = 2.0 * atom_mass * float(np.max(w ** 2)) / n
     within = None
-    if ds.lambda_min >= 0.5:
+    if design.lambda_min >= 0.5:
         within = bool(component <= envelope + 1e-12)
     return NullspaceReport(component=component, envelope=envelope,
-                           lambda_min=ds.lambda_min, within_envelope=within)
+                           lambda_min=design.lambda_min,
+                           within_envelope=within)
 
 
 # ---------------------------------------------------------------------------
@@ -419,11 +406,6 @@ def mc_sup_quadratic(Y, trials, rng, refine_iters=200, tol=1e-9):
 # ---------------------------------------------------------------------------
 # bound formulas
 # ---------------------------------------------------------------------------
-
-
-def fail_prob(n, r, mult=1.0):
-    """mult * n^(1-r), the generic failure-probability envelope."""
-    return mult * float(n) ** (1.0 - float(r))
 
 
 def mode_budget(n, r, c):

@@ -353,3 +353,54 @@ def test_bad_configs_raise_config_error(tmp_path, kind, key, text):
     assert out.returncode == 2, out.stderr
     assert "config error: " + key in out.stderr
     assert "Traceback" not in out.stderr
+
+
+_RECOVER_RULE = """
+basis = fourier
+n = 50
+r = 2.0
+trials = 1
+trunc = 64
+"""
+
+
+@pytest.mark.parametrize("key,rule", [
+    pytest.param("scale:", "decay = geometric\nq = 0.5\nscale = -1\n",
+                 id="negative-scale"),
+    pytest.param("values:", "decay = explicit\nvalues = 1.0, 2.0\n",
+                 id="increasing-values"),
+    pytest.param("s:", "decay = poly\ns = 0.5\n", id="poly-s"),
+    pytest.param("q:", "decay = geometric\nq = 1.5\n", id="ratio-above-1"),
+])
+def test_invalid_rule_parameters_are_config_errors(tmp_path, key, rule):
+    text = _RECOVER_RULE + rule
+    with pytest.raises(ConfigError, match="^" + key):
+        ex.run(build("kind = recover\n" + text))
+    cfg = tmp_path / "bad.cfg"
+    cfg.write_text(text)
+    out = run_cli(["recover", "--config", str(cfg), "--out",
+                   str(tmp_path / "o")], tmp_path)
+    assert out.returncode == 2, out.stderr
+    assert "config error: " + key in out.stderr
+    assert "Traceback" not in out.stderr
+
+
+def test_discretize_without_trunc_uses_the_automatic_truncation():
+    cfg = build("""
+kind = discretize
+basis = cosine
+decay = sobolev
+s = 1.0
+n = 40
+r = 2.0
+trials = 1
+seed = 3
+""")
+    rep = ex.run(cfg)
+    model = ex.build_model(cfg)
+    density = rkhslab.SamplingDensity(model, "plain")
+    nodes = rkhslab.draw_nodes(density, 40, 3, stream=0)
+    want = rkhslab.exact_wce_discretization(model, nodes, trunc=None)
+    assert rep.summary["trunc"] == want.trunc_dim
+    assert rep.rows[0][-1] == want.trunc_dim
+    assert rep.rows[0][5] == want.value

@@ -428,3 +428,16 @@ def test_torus_rejects_non_finite_points(bad):
     density = SamplingDensity(poly_fourier(), "spectral-mix", m=3)
     with pytest.raises(DomainError):
         nodes_from_points(density, x)
+
+
+def test_eval_block_high_window_matches_closed_forms():
+    # the rows start at the lowest requested frequency, not at 0
+    x = _grid_points(np.random.default_rng(1025), 12)
+    ks = np.arange(1025, 1031)
+    fb = get_basis("fourier")
+    want = np.exp(2j * math.pi * np.mod(np.outer(x, fb.frequency(ks)), 1.0))
+    np.testing.assert_allclose(fb.eval_block(ks, x), want,
+                               rtol=0.0, atol=1e-13)
+    want = math.sqrt(2.0) * np.cos(math.pi * np.mod(np.outer(x, ks - 1), 2.0))
+    np.testing.assert_allclose(get_basis("cosine").eval_block(ks, x), want,
+                               rtol=0.0, atol=1e-13 * math.sqrt(2.0))

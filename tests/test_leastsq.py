@@ -173,3 +173,44 @@ def test_dump_design_writes_csv(tmp_path):
     text = path.read_text()
     assert text.startswith("section,row,col,real,imag")
     assert "coef" in text
+
+
+@pytest.mark.parametrize("model_of", [fourier_model, cosine_model])
+def test_lambda_min_on_a_near_singular_square_design(model_of):
+    # condition number about 1e6: the formed Gram would lose half the digits
+    model = model_of()
+    density = SamplingDensity(model, "plain")
+    nodes = nodes_from_points(density, np.array([0.1, 0.3, 0.3 + 1e-6, 0.8]))
+    ds = assemble_design(model, density, nodes, 5)
+    smin = np.linalg.svd(ds.matrix, compute_uv=False)[-1]
+    assert ds.full_rank
+    assert ds.lambda_min == pytest.approx(smin ** 2 / 4, rel=1e-8, abs=0.0)
+
+
+def test_recover_matches_lstsq_on_an_ill_conditioned_design():
+    model = fourier_model()
+    density = SamplingDensity(model, "plain")
+    nodes = nodes_from_points(density, 0.1 + 0.1 * np.arange(8) / 8)
+    ds = assemble_design(model, density, nodes, 6)
+    assert 1e4 < np.linalg.cond(ds.matrix) < 1e5
+    rng = np.random.default_rng(3)
+    # random samples: far from the span of the five columns
+    samples = rng.standard_normal(8) + 1j * rng.standard_normal(8)
+    got = recover(model, density, nodes, 6, samples, design=ds)
+    want, resid, _, _ = np.linalg.lstsq(ds.matrix, samples * ds.weights,
+                                        rcond=None)
+    assert math.sqrt(float(resid[0])) > 1.0
+    assert np.linalg.norm(got.values - want) <= 1e-10 * np.linalg.norm(want)
+
+
+def test_solve_matches_dense_solve():
+    model = fourier_model()
+    density = SamplingDensity(model, "spectral-mix", m=8)
+    nodes = draw_nodes(density, 200, seed=31)
+    ds = assemble_design(model, density, nodes, 8)
+    rng = np.random.default_rng(32)
+    rhs = rng.standard_normal((7, 3)) + 1j * rng.standard_normal((7, 3))
+    normal = ds.matrix.conj().T @ ds.matrix
+    assert np.linalg.cond(normal) < 10.0
+    np.testing.assert_allclose(ds.solve(rhs), np.linalg.solve(normal, rhs),
+                               rtol=1e-12, atol=1e-12 * np.abs(rhs).max())

@@ -14,7 +14,7 @@ from rkhslab import (BOUND_NAMES, FAIL_MULT, KAPPA, KAPPA_SQ,
                      nodes_from_points, power_iteration_norm,
                      recovery_error_matrix, spectral_budget,
                      wce_nullspace_component)
-from rkhslab import worstcase
+from rkhslab import RankDeficientError, worstcase
 from rkhslab.densities import trial_rng
 
 
@@ -351,3 +351,15 @@ def test_secular_step_cap_stays_conservative(monkeypatch, steps, seed):
     em = recovery_error_matrix(model, density, nodes, 121, trunc=128)
     top_sq = float(np.linalg.svd(em.matrix, compute_uv=False)[0]) ** 2
     assert wce.value_sq >= top_sq
+
+
+def test_nullspace_component_on_a_rank_deficient_design_raises():
+    model = SpectralKernelModel(get_basis("cosine"), SobolevDecay(1.0),
+                                atom_mass=0.2)
+    density = SamplingDensity(model, "plain")
+    x = np.array([0.3, 0.3 + 1e-13, 0.30000001 + 1e-13])
+    nodes = nodes_from_points(density, x)
+    ds = assemble_design(model, density, nodes, 4)
+    assert not ds.full_rank
+    with pytest.raises(RankDeficientError):
+        wce_nullspace_component(0.2, nodes, ds)
