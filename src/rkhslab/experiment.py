@@ -195,19 +195,19 @@ def _validate(cfg):
 def build_model(cfg):
     # the rules own their parameter ranges; a rule's ValueError becomes a
     # ConfigError on the key it was built from
-    steps = {
-        "poly": [("s", lambda: PolynomialDecay(cfg.s))],
-        "sobolev": [("s", lambda: SobolevDecay(cfg.s))],
-        # the ratio alone first, so a bad scale is reported as scale
-        "geometric": [("q", lambda: GeometricDecay(cfg.q)),
-                      ("scale", lambda: GeometricDecay(cfg.q, cfg.scale))],
-        "explicit": [("values", lambda: ExplicitEigenvalues(cfg.values))],
-    }[cfg.decay]
-    for key, make in steps:
-        try:
-            rule = make()
-        except ValueError as exc:
-            raise ConfigError("%s: %s" % (key, exc)) from None
+    key = {"poly": "s", "sobolev": "s", "explicit": "values",
+           "geometric": "scale" if 0.0 < cfg.q < 1.0 else "q"}[cfg.decay]
+    try:
+        if cfg.decay == "poly":
+            rule = PolynomialDecay(cfg.s)
+        elif cfg.decay == "sobolev":
+            rule = SobolevDecay(cfg.s)
+        elif cfg.decay == "geometric":
+            rule = GeometricDecay(cfg.q, cfg.scale)
+        else:
+            rule = ExplicitEigenvalues(cfg.values)
+    except ValueError as exc:
+        raise ConfigError("%s: %s" % (key, exc)) from None
     return SpectralKernelModel(cfg.basis, rule, atom_mass=cfg.atom_mass)
 
 

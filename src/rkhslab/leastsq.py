@@ -7,8 +7,10 @@ Gram H = (1/n) L* L concentrates around the identity for a suitable density.
 L is factored once, L = QR by Householder (Golub & Van Loan 5.2), and every
 consumer reads R: its singular values are those of L, so they give the Gram
 eigenvalues sigma^2 / n, the rank and the pseudo-inverse norm, and solves
-with L* L = R* R are two triangular solves.  The fit uses the semi-normal
-equations with one refinement step (Bjorck 1987).
+with L* L = R* R are two triangular solves.  The fit alone factors again:
+the Householder QR of [L g] holds R and Q* g side by side (Golub 1965), so
+it stays backward stable at any condition number the rank test accepts,
+and no design keeps Q for it.
 """
 
 import csv
@@ -63,13 +65,16 @@ class DesignSystem:
                 else float(self.svals[-1]))
         return 1.0 / smin if smin > 0.0 else math.inf
 
-    def solve(self, rhs):
-        """(L*L)^(-1) rhs as R^(-1) R^(-*) rhs; raises RankDeficientError
-        on a rank-deficient design, which the runner flags."""
+    def _require_full_rank(self):
         if not self.full_rank:
             raise RankDeficientError(
                 "design matrix is rank deficient (lambda_min=%.3e)"
                 % self.lambda_min)
+
+    def solve(self, rhs):
+        """(L*L)^(-1) rhs as R^(-1) R^(-*) rhs; raises RankDeficientError
+        on a rank-deficient design, which the runner flags."""
+        self._require_full_rank()
         half = solve_triangular(self.factor, rhs, trans="C", lower=False)
         return solve_triangular(self.factor, half, lower=False)
 
@@ -78,6 +83,17 @@ class DesignSystem:
 class Coefficients:
     values: np.ndarray
     residual_norm: float
+
+
+def _householder(a):
+    """Householder QR of a by LAPACK geqrf, in place on one Fortran copy:
+    R in the upper triangle, the reflectors below it."""
+    work = np.array(a, order="F")
+    geqrf, = get_lapack_funcs(("geqrf",), (work,))
+    qr, _, _, info = geqrf(work, overwrite_a=True)
+    if info != 0:
+        raise ValueError("geqrf failed with info=%d" % info)
+    return qr
 
 
 def assemble_design(model, density, nodes, m):
@@ -98,13 +114,7 @@ def assemble_design(model, density, nodes, m):
                        0.0)
     matrix = model.basis.eval_block(np.arange(1, m), nodes.x)
     matrix *= weights[:, None]
-    # Householder QR in place on one Fortran copy; R is its upper triangle
-    work = np.array(matrix, order="F")
-    geqrf, = get_lapack_funcs(("geqrf",), (work,))
-    qr, _, _, info = geqrf(work, overwrite_a=True)
-    if info != 0:
-        raise ValueError("geqrf failed with info=%d" % info)
-    factor = np.triu(qr[: m - 1])
+    factor = np.triu(_householder(matrix)[: m - 1])
     return DesignSystem(matrix=matrix, factor=factor,
                         svals=np.linalg.svd(factor, compute_uv=False), n=n,
                         weights=weights)
@@ -114,17 +124,17 @@ def recover(model, density, nodes, m, samples, design=None):
     """Least-squares coefficients from samples f(x_i).
 
     ``design`` can be passed to reuse an assembled system.  Raises
-    RankDeficientError on a rank-deficient design; the experiment runner
-    converts that into a flagged trial.
+    RankDeficientError on a rank-deficient design.
     """
     ds = design if design is not None else assemble_design(model, density,
                                                            nodes, m)
-    L = ds.matrix
+    ds._require_full_rank()
     g = np.asarray(samples) * ds.weights
-    # semi-normal equations plus one refinement step
-    coef = ds.solve(L.conj().T @ g)
-    coef += ds.solve(L.conj().T @ (g - L @ coef))
-    residual = float(np.linalg.norm(L @ coef - g))
+    # R of [L g] starts with R of L, and its last column starts with Q* g
+    k = ds.matrix.shape[1]
+    aug = _householder(np.column_stack([ds.matrix, g]))
+    coef = solve_triangular(aug[:k, :k], aug[:k, k], lower=False)
+    residual = float(np.linalg.norm(ds.matrix @ coef - g))
     return Coefficients(values=coef, residual_norm=residual)
 
 

@@ -214,3 +214,21 @@ def test_solve_matches_dense_solve():
     assert np.linalg.cond(normal) < 10.0
     np.testing.assert_allclose(ds.solve(rhs), np.linalg.solve(normal, rhs),
                                rtol=1e-12, atol=1e-12 * np.abs(rhs).max())
+
+
+@pytest.mark.parametrize("model_of", [fourier_model, cosine_model])
+def test_recover_is_backward_stable_near_the_rank_cutoff(model_of):
+    # two node pairs 1e-10 apart: condition number in (1e9, 1e10), still
+    # full rank, where the formed normal equations keep no digits
+    model = model_of()
+    density = SamplingDensity(model, "plain")
+    x = np.array([0.05, 0.3, 0.3 + 1e-10, 0.45, 0.6, 0.6 + 1e-10, 0.8])
+    nodes = nodes_from_points(density, x)
+    ds = assemble_design(model, density, nodes, 7)
+    cond = np.linalg.cond(ds.matrix)
+    assert ds.full_rank and 1e9 < cond < 1e10
+    samples = ds.matrix @ np.ones(6) / ds.weights
+    got = recover(model, density, nodes, 7, samples, design=ds).values
+    want = np.linalg.lstsq(ds.matrix, samples * ds.weights, rcond=None)[0]
+    assert (np.linalg.norm(got - want)
+            <= 10.0 * cond * np.finfo(float).eps * np.linalg.norm(want))
