@@ -9,7 +9,8 @@ from .kernels import (CosineBasis, Domain, EigenvalueRule,
                       PolynomialDecay, SobolevDecay, SpectralKernelModel,
                       get_basis)
 from .densities import (NodeSet, NormalizedKernelView, SamplingDensity,
-                        draw_nodes, nodes_from_points, trial_rng)
+                        draw_nodes, nodes_from_points, spectral_budget,
+                        trial_rng)
 from .leastsq import (Coefficients, DesignSystem, assemble_design,
                       dump_design, gram_eig_check, recover)
 from .worstcase import (BOUND_NAMES, FAIL_MULT, BoundReport, bound, choose_m,
@@ -22,9 +23,8 @@ from .concentration import (KAPPA, KAPPA_SQ, WILSON_Z, KernelVectorFamily,
                             TwoPointVectorFamily, chernoff_c, chernoff_d,
                             default_t_grid, deviation_threshold, fail_prob,
                             deviation_trial, eig_tail_envelopes,
-                            spectral_budget, tail_envelope, wilson_interval)
+                            tail_envelope, wilson_interval)
 from .experiment import (ExperimentConfig, ExperimentReport, build_config,
-                         build_density, build_model, parse_config, resolve_m,
-                         run)
+                         build_model, parse_config, resolve_m, run)
 
 __all__ = [name for name in dir() if not name.startswith("_")]

@@ -1,20 +1,20 @@
 """Command line front end.
 
 Exit codes: 0 means the run's acceptance predicates held, 1 means a
-predicate failed, 2 means the config was invalid.  Heavy imports happen
-after --threads is applied so the BLAS pool picks the setting up.
+predicate failed, 2 means the config was invalid.
 """
 
 import argparse
-import os
 import sys
+
+from . import experiment
+from .errors import ConfigError
 
 
 def _parser():
     p = argparse.ArgumentParser(prog="rkhslab")
     sub = p.add_subparsers(dest="command", required=True)
-    for name in ("recover", "discretize", "eig-check", "concentration",
-                 "sweep"):
+    for name in experiment.KINDS:
         sp = sub.add_parser(name)
         sp.add_argument("--config", required=True)
         sp.add_argument("--seed", type=int, default=None)
@@ -23,21 +23,8 @@ def _parser():
     return p
 
 
-def _apply_threads(threads):
-    if not threads:
-        return
-    for var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS",
-                "MKL_NUM_THREADS"):
-        os.environ[var] = str(threads)
-
-
 def main(argv=None):
     args = _parser().parse_args(argv)
-    _apply_threads(args.threads)
-
-    from .errors import ConfigError
-    from . import experiment
-
     try:
         with open(args.config, "r", encoding="utf-8") as fh:
             raw = experiment.parse_config(fh.read())

@@ -233,15 +233,3 @@ def eig_tail_envelopes(n, m, t, n_eff):
     hi = min(1.0, m * math.exp(-n * math.log(chernoff_d(t)) / n_eff))
     return lo, hi
 
-
-def spectral_budget(model, density_kind, m):
-    """A-priori bound on the density-normalized spectral function."""
-    if density_kind in (None, "plain"):
-        return model.spectral_function(m)
-    if density_kind == "spectral-mix":
-        return 2.0 * (m - 1)
-    if density_kind == "spectral-mix-atom":
-        return 3.0 * (m - 1)
-    raise ValueError("no spectral-function bound for density %r"
-                     % (density_kind,))
-

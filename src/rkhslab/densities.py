@@ -3,13 +3,13 @@
 Densities are expressed w.r.t. the uniform base measure of the model's 1-d
 domain and written as flat mixtures whose components are the normalized
 squared basis functions |eta_j|^2 (plus a uniform component for the diagonal
-atom).  Supported kinds:
+atom).  Each kind is an equal-weight mixture of its terms (``KIND_TERMS``);
+a term that carries no mass is dropped and the rest share its weight:
 
   plain             constant 1 (sample from the base measure itself)
-  spectral-mix      1/2 * [mean of |eta_j|^2, j < m]
-                    + 1/2 * [(K(x,x) - sum_{j<m} lambda_j |eta_j|^2) / remaining trace]
-  spectral-mix-atom equal thirds: spectral part, eigenvalue tail part, atom part
-                    (terms with zero mass are dropped and weights renormalized)
+  spectral-mix      [mean of |eta_j|^2, j < m]
+                    and [(K(x,x) - sum_{j<m} lambda_j |eta_j|^2) / remaining trace]
+  spectral-mix-atom spectral part, eigenvalue tail part, atom part
   kernel-diag       K(x, x) / trace
 
 Sampling is exact mixture sampling with a fixed RNG consumption order so that
@@ -29,6 +29,19 @@ from .errors import DegenerateDensityError, TruncationError
 from .kernels import TWO_PI, grid_maximum
 
 _TAIL_TABLE_CAP = 1 << 16
+
+# density kind -> its mixture terms: "spectral" is the mean of |eta_k|^2 over
+# k < m, "rest" the eigenvalue tail from m with the atom, "tail" the tail
+# alone, "diag" K(x, x), and "plain" and "atom" are constant
+KIND_TERMS = {
+    "plain": ("plain",),
+    "spectral-mix": ("spectral", "rest"),
+    "spectral-mix-atom": ("spectral", "tail", "atom"),
+    "kernel-diag": ("diag",),
+}
+# the kinds that have a ``spectral_budget``
+BUDGET_KINDS = ("plain",) + tuple(k for k, terms in KIND_TERMS.items()
+                                  if "spectral" in terms)
 
 
 @dataclass
@@ -67,25 +80,28 @@ class SamplingDensity:
     """A node-drawing density tied to a model (and a mode count for the
     m-adapted kinds)."""
 
-    KINDS = ("plain", "spectral-mix", "spectral-mix-atom", "kernel-diag")
+    KINDS = tuple(KIND_TERMS)
 
     def __init__(self, model, kind, m=None):
-        if kind not in self.KINDS:
+        if kind not in KIND_TERMS:
             raise ValueError("unknown density kind %r" % (kind,))
         self.model = model
         self.kind = kind
         self.m = None if m is None else int(m)
         self._tail_table = None
-        if kind in ("spectral-mix", "spectral-mix-atom"):
+        if "spectral" in KIND_TERMS[kind]:
             if self.m is None or self.m < 2:
                 raise ValueError("%s needs m >= 2" % kind)
             if model.rank is not None and self.m - 1 > model.rank:
                 raise DegenerateDensityError(
                     "density requests %d modes but the kernel has rank %d"
                     % (self.m - 1, model.rank))
-        if kind == "kernel-diag" and model.trace <= 0.0:
-            raise DegenerateDensityError("kernel-diag needs positive trace")
-        self._weights = self._term_weights()
+        # terms that carry mass share the weight equally
+        terms = [t for t in KIND_TERMS[kind] if self._term_mass(t) > 0.0]
+        if not terms:
+            raise DegenerateDensityError("%s has no term with positive mass"
+                                         % kind)
+        self._weights = dict.fromkeys(terms, 1.0 / len(terms))
 
     # -- mixture structure ---------------------------------------------------
 
@@ -96,27 +112,13 @@ class SamplingDensity:
         atom = 0.0 if term == "tail" else self.model.atom_mass
         return (1 if term == "diag" else self.m), atom
 
-    def _term_weights(self):
-        """Mixture term -> weight.  Zero-mass terms are dropped."""
-        atom = self.model.atom_mass
-        if self.kind == "plain":
-            return {"plain": 1.0}
-        if self.kind == "kernel-diag":
-            return {"diag": 1.0}
-        if self.kind == "spectral-mix":
-            # second term bundles the remaining trace: eigen tail plus atom
-            rest = self.model.tail_sum(self.m) + atom
-            if rest <= 0.0:
-                return {"spectral": 1.0}
-            return {"spectral": 0.5, "rest": 0.5}
-        # spectral-mix-atom
-        terms = ["spectral"]
-        if self.model.tail_sum(self.m) > 0.0:
-            terms.append("tail")
-        if atom > 0.0:
-            terms.append("atom")
-        w = 1.0 / len(terms)
-        return {t: w for t in terms}
+    def _term_mass(self, term):
+        if term in ("plain", "spectral"):
+            return 1.0
+        if term == "atom":
+            return self.model.atom_mass
+        start, atom = self._tail_term(term)
+        return self.model.tail_sum(start) + atom
 
     def mixture_weights(self):
         return dict(self._weights)
@@ -151,16 +153,15 @@ class SamplingDensity:
     def sup_inverse(self):
         """Analytic upper bound on sup_x 1/rho(x), used by envelope checks.
 
-        The atom term of the three-part kind is constant 1, so its weight
-        bounds the density from below; for the other kinds a grid bound is
-        returned (built-in densities are bounded away from zero through the
-        constant basis function eta_1).
+        The constant terms (plain, atom) bound the density from below by
+        their weight; without one a grid bound is returned (built-in
+        densities are bounded away from zero through the constant basis
+        function eta_1).
         """
-        w = self._weights
-        if self.kind == "plain":
-            return 1.0
-        if self.kind == "spectral-mix-atom" and "atom" in w:
-            return 1.0 / w["atom"]
+        floor = sum(w for t, w in self._weights.items()
+                    if t in ("plain", "atom"))
+        if floor > 0.0:
+            return 1.0 / floor
         val, _ = grid_maximum(lambda x: 1.0 / self.evaluate(x), npts=20001)
         return val
 
@@ -221,7 +222,7 @@ class SamplingDensity:
 
     def _sample(self, rng, count):
         model = self.model
-        if self.kind == "plain":
+        if "plain" in self._weights:
             return rng.random(count), {"plain": count}
         terms = list(self._weights.items())
         edges = np.cumsum([w for _, w in terms])
@@ -256,6 +257,21 @@ class SamplingDensity:
                     vals[~is_atom] = self._coordinate_for_indices(rng, idx)
                 x[mask] = vals
         return x, tally
+
+
+def spectral_budget(model, density_kind, m):
+    """A-priori bound on sup_x sum_{k < m} |eta_k(x)|^2 / rho(x).
+
+    The plain density (also ``None``) keeps the model's spectral function.
+    A mixture's spectral term, the mean of |eta_k|^2 over k < m, has weight
+    at least one over the number of terms, so that number times m - 1 bounds
+    the ratio; a kind without a spectral term has no bound."""
+    if density_kind in (None, "plain"):
+        return model.spectral_function(m)
+    if density_kind not in BUDGET_KINDS:
+        raise ValueError("no spectral-function bound for density %r"
+                         % (density_kind,))
+    return float(len(KIND_TERMS[density_kind]) * (m - 1))
 
 
 def invert_cosine_component_cdf(freqs, u, iters=60):

@@ -19,17 +19,17 @@ from . import __version__
 from .concentration import (DEVIATION_CONSTANTS, KernelVectorFamily,
                             SphereVectorFamily, TailExperiment,
                             TwoPointVectorFamily, binom_se, default_t_grid,
-                            deviation_threshold, fail_prob, spectral_budget)
-from .densities import SamplingDensity, draw_nodes
+                            deviation_threshold, fail_prob)
+from .densities import (BUDGET_KINDS, SamplingDensity, draw_nodes,
+                        spectral_budget)
 from .errors import ConfigError, DegenerateDensityError, RankDeficientError
-from .kernels import (ExplicitEigenvalues, GeometricDecay, PolynomialDecay,
-                      SobolevDecay, SpectralKernelModel)
+from .kernels import (BASES, ExplicitEigenvalues, GeometricDecay,
+                      PolynomialDecay, SobolevDecay, SpectralKernelModel)
 from .leastsq import assemble_design, gram_eig_check
 from .worstcase import (FAIL_MULT, bound, choose_m, exact_wce_discretization,
                         exact_wce_recovery, max_m_under, mode_budget,
                         model_bound_inputs, wce_nullspace_component)
 
-M_RULES = ("fixed", "auto", "max-cond-7", "max-cond-10")
 _SWEEP_STREAM_STRIDE = 1_000_000
 
 
@@ -140,21 +140,50 @@ def build_config(raw, **overrides):
     return cfg
 
 
+# decay -> (its rule built from a config, the key a rule's ValueError is
+# reported on); geometric checks its ratio q before its scale
+_DECAYS = {
+    "poly": (lambda cfg: PolynomialDecay(cfg.s), lambda cfg: "s"),
+    "sobolev": (lambda cfg: SobolevDecay(cfg.s), lambda cfg: "s"),
+    "geometric": (lambda cfg: GeometricDecay(cfg.q, cfg.scale),
+                  lambda cfg: "scale" if 0.0 < cfg.q < 1.0 else "q"),
+    "explicit": (lambda cfg: ExplicitEigenvalues(cfg.values),
+                 lambda cfg: "values"),
+}
+# m rule -> the c of the spectral budget n / (c r log n) it fills, or None
+# for the rules that take no budget
+_M_RULES = {"fixed": None, "auto": None, "max-cond-7": 7.0,
+            "max-cond-10": 10.0}
+
+
+def _separable_model(cfg, what):
+    model = build_model(cfg)
+    if model.atom_mass > 0.0:
+        raise ConfigError("atom_mass: %s the separable part only; set "
+                          "atom_mass = 0" % what)
+    return model
+
+
+_FAMILIES = {
+    "kernel": lambda cfg: KernelVectorFamily(
+        _separable_model(cfg, "concentration families use"), cfg.dim),
+    "sphere": lambda cfg: SphereVectorFamily(cfg.dim),
+    "two-point": lambda cfg: TwoPointVectorFamily(),
+}
+
+
 def _validate(cfg):
-    if cfg.kind not in KINDS:
-        raise ConfigError("kind: must be one of %s, got %r"
-                          % ("/".join(KINDS), cfg.kind))
-    if cfg.basis not in ("fourier", "cosine"):
-        raise ConfigError("basis: must be fourier or cosine")
-    if cfg.decay not in ("poly", "sobolev", "geometric", "explicit"):
-        raise ConfigError("decay: must be poly/sobolev/geometric/explicit")
+    for key, allowed in (("kind", KINDS), ("basis", BASES),
+                         ("decay", _DECAYS),
+                         ("density", SamplingDensity.KINDS),
+                         ("m_rule", _M_RULES), ("family", _FAMILIES)):
+        if getattr(cfg, key) not in allowed:
+            raise ConfigError("%s: must be one of %s, got %r"
+                              % (key, "/".join(allowed), getattr(cfg, key)))
     if cfg.decay == "explicit" and not cfg.values:
         raise ConfigError("values: explicit decay needs a value list")
     if cfg.atom_mass < 0:
         raise ConfigError("atom_mass: must be non-negative")
-    if cfg.density not in SamplingDensity.KINDS:
-        raise ConfigError("density: must be one of %s"
-                          % "/".join(SamplingDensity.KINDS))
     if not cfg.r > 1.0:
         raise ConfigError("r: must be greater than 1")
     if cfg.trials < 1:
@@ -171,21 +200,17 @@ def _validate(cfg):
             raise ConfigError("n: required for kind %r" % cfg.kind)
         if cfg.n < 3:
             raise ConfigError("n: must be at least 3")
-    if cfg.m_rule not in M_RULES:
-        raise ConfigError("m_rule: must be one of %s" % "/".join(M_RULES))
     if cfg.m_rule == "fixed":
         if cfg.m is None or cfg.m < 2:
             raise ConfigError("m: fixed rule needs an integer m >= 2")
-    if cfg.density == "kernel-diag" and (
+    if cfg.density not in BUDGET_KINDS and (
             cfg.kind == "eig-check" or cfg.kind in ("recover", "sweep")
-            and cfg.m_rule.startswith("max-cond")):
-        raise ConfigError("density: kernel-diag has no spectral budget, "
-                          "which eig-check and max-cond m_rules need")
+            and _M_RULES[cfg.m_rule] is not None):
+        raise ConfigError("density: %s has no spectral budget, which "
+                          "eig-check and max-cond m_rules need" % cfg.density)
     if cfg.trunc is not None and cfg.trunc < 1:
         raise ConfigError("trunc: must be positive or auto")
     if cfg.kind == "concentration":
-        if cfg.family not in ("kernel", "sphere", "two-point"):
-            raise ConfigError("family: must be kernel/sphere/two-point")
         if cfg.dim < 1:
             raise ConfigError("dim: must be positive")
         if cfg.t_points < 1:
@@ -195,19 +220,11 @@ def _validate(cfg):
 def build_model(cfg):
     # the rules own their parameter ranges; a rule's ValueError becomes a
     # ConfigError on the key it was built from
-    key = {"poly": "s", "sobolev": "s", "explicit": "values",
-           "geometric": "scale" if 0.0 < cfg.q < 1.0 else "q"}[cfg.decay]
+    make, key = _DECAYS[cfg.decay]
     try:
-        if cfg.decay == "poly":
-            rule = PolynomialDecay(cfg.s)
-        elif cfg.decay == "sobolev":
-            rule = SobolevDecay(cfg.s)
-        elif cfg.decay == "geometric":
-            rule = GeometricDecay(cfg.q, cfg.scale)
-        else:
-            rule = ExplicitEigenvalues(cfg.values)
+        rule = make(cfg)
     except ValueError as exc:
-        raise ConfigError("%s: %s" % (key, exc)) from None
+        raise ConfigError("%s: %s" % (key(cfg), exc)) from None
     return SpectralKernelModel(cfg.basis, rule, atom_mass=cfg.atom_mass)
 
 
@@ -219,16 +236,11 @@ def resolve_m(cfg, model, n):
         return cfg.m
     if cfg.m_rule == "auto":
         return max(2, choose_m(n, cfg.r))
-    c = 7.0 if cfg.m_rule == "max-cond-7" else 10.0
     try:
-        return max_m_under(model, n, cfg.r, c=c, density_kind=cfg.density)
+        return max_m_under(model, n, cfg.r, c=_M_RULES[cfg.m_rule],
+                           density_kind=cfg.density)
     except ValueError as exc:
         raise ConfigError("m_rule: %s at n = %d" % (exc, n)) from None
-
-
-def build_density(cfg, model, m):
-    need_m = cfg.density in ("spectral-mix", "spectral-mix-atom")
-    return SamplingDensity(model, cfg.density, m=m if need_m else None)
 
 
 def three_se_slack(rate, trials):
@@ -380,7 +392,7 @@ def run_recover(cfg):
     model = build_model(cfg)
     n = cfg.n
     m = resolve_m(cfg, model, n)
-    density = build_density(cfg, model, m)
+    density = SamplingDensity(model, cfg.density, m=m)
     inputs = model_bound_inputs(model, n, cfg.r, m, density=density)
     rep_sum = bound("recovery-tail-sum", **inputs)
     rep_sup = bound("recovery-tail-sup", **inputs)
@@ -425,10 +437,7 @@ _DISCRETIZE_HEADER = [
 
 
 def run_discretize(cfg):
-    model = build_model(cfg)
-    if model.atom_mass > 0.0:
-        raise ConfigError("atom_mass: discretization treats the separable "
-                          "part only; set atom_mass = 0")
+    model = _separable_model(cfg, "discretization treats")
     n = cfg.n
     inputs = model_bound_inputs(model, n, cfg.r, 2)
     if cfg.weighted:
@@ -483,7 +492,7 @@ def run_eigcheck(cfg):
     model = build_model(cfg)
     n = cfg.n
     m = resolve_m(cfg, model, n)
-    density = build_density(cfg, model, m)
+    density = SamplingDensity(model, cfg.density, m=m)
 
     def trial(i):
         nodes = draw_nodes(density, n, cfg.seed, stream=i)
@@ -521,20 +530,8 @@ _CURVE_HEADER = ["t", "rate", "wilson_lo", "wilson_hi", "envelope",
                  "vacuous"]
 
 
-def build_family(cfg):
-    if cfg.family == "kernel":
-        model = build_model(cfg)
-        if model.atom_mass > 0.0:
-            raise ConfigError("atom_mass: concentration families use the "
-                              "separable part only")
-        return KernelVectorFamily(model, cfg.dim)
-    if cfg.family == "sphere":
-        return SphereVectorFamily(cfg.dim)
-    return TwoPointVectorFamily()
-
-
 def run_concentration(cfg):
-    family = build_family(cfg)
+    family = _FAMILIES[cfg.family](cfg)
     n = cfg.n
     grid = default_t_grid(family, n, points=cfg.t_points)
     exp = TailExperiment(family=family, n=n, t_grid=grid, trials=cfg.trials,
@@ -589,7 +586,7 @@ def run_sweep(cfg):
     table = []
     for gi, n in enumerate(cfg.n_grid):
         m = resolve_m(cfg, model, n)
-        density = build_density(cfg, model, m)
+        density = SamplingDensity(model, cfg.density, m=m)
         inputs = model_bound_inputs(model, n, cfg.r, m)
         rep_sum = bound("recovery-tail-sum", **inputs)
         rep_atom = bound("recovery-atom", **inputs)

@@ -33,8 +33,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
-from scipy.integrate import quad
-from scipy.special import zeta
+from scipy.special import beta, betainc, zeta
 
 from .errors import DomainError, TruncationError
 
@@ -156,7 +155,11 @@ class SobolevDecay(EigenvalueRule):
 
     @lru_cache(maxsize=4096)
     def _freq_tail(self, j0):
-        """sum_{j >= j0} (1+j^2)^(-s) by partial sum + Euler-Maclaurin."""
+        """sum_{j >= j0} (1+j^2)^(-s) by partial sum + Euler-Maclaurin.
+
+        The integral from t on is 1/2 B(s - 1/2, 1/2) I_w(s - 1/2, 1/2) at
+        w = 1/(1+t^2) (substitute w = 1/(1+u^2)), in closed form at s = 1.
+        """
         if j0 <= 0:
             return 1.0 + self._freq_tail(1)
         s = self.s
@@ -167,8 +170,8 @@ class SobolevDecay(EigenvalueRule):
         if s == 1.0:
             integral = math.atan2(1.0, t)  # arctan(1/t), exact
         else:
-            integral, _ = quad(lambda u: (1.0 + u * u) ** (-s), t, np.inf,
-                               epsabs=1e-15, epsrel=1e-13)
+            integral = 0.5 * float(beta(s - 0.5, 0.5)
+                                   * betainc(s - 0.5, 0.5, 1.0 / (1.0 + t * t)))
         f_t = (1.0 + t * t) ** (-s)
         fp_t = -2.0 * s * t * (1.0 + t * t) ** (-s - 1.0)
         # remainder of the correction is O(f'''(t)), far below 1e-16 here
@@ -542,8 +545,12 @@ class CosineBasis:
             # the remainder of the distribution function, this series over
             # 2 pi, is at most tail(cut+1) / (2 pi cut)
             cut = rule.rank if rule.rank is not None else 1 << 16
-            while (rule.rank is None and cut < (1 << 22)
+            while (rule.rank is None
                    and rule.tail(cut + 1) / (TWO_PI * cut) > 1e-12):
+                if cut >= 1 << 22:
+                    raise TruncationError(
+                        "distribution series for rule %r cannot reach 1e-12 "
+                        "within 2^22 terms" % rule.name)
                 cut *= 2
             return _freq_series(rule, m, cut, theta, sine=True).imag
         return full - _freq_series(rule, 2, m - 1, theta, sine=True).imag
@@ -609,12 +616,12 @@ def _cos_series_inverse_sq(theta):
     return math.pi * np.cosh(math.pi - t) / (2.0 * math.sinh(math.pi)) - 0.5
 
 
-_BASES = {"fourier": FourierBasis(), "cosine": CosineBasis()}
+BASES = {"fourier": FourierBasis(), "cosine": CosineBasis()}
 
 
 def get_basis(name):
     try:
-        return _BASES[name]
+        return BASES[name]
     except KeyError:
         raise ValueError("unknown basis %r" % (name,)) from None
 

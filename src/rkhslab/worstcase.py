@@ -28,8 +28,8 @@ import numpy as np
 from scipy.sparse.linalg import LinearOperator, eigsh
 
 from .concentration import (CHERNOFF_DENOM, CHERNOFF_MULT,
-                            DEVIATION_CONSTANTS, KAPPA_SQ, deviation_level,
-                            spectral_budget)
+                            DEVIATION_CONSTANTS, KAPPA_SQ, deviation_level)
+from .densities import spectral_budget
 from .leastsq import assemble_design
 
 # multiplier in the recovery failure probability FAIL_MULT * n^(1-r)
@@ -424,14 +424,13 @@ def choose_m(n, r):
     return int(mode_budget(n, r, _CHOOSE_M["denom_coef"]))
 
 
-def max_m_under(model, n, r, c=7.0, density_kind=None, m_cap=None):
-    """Largest m >= 2 whose spectral budget for density_kind (see
-    ``spectral_budget``) stays below n / (c r log n)."""
+def max_m_under(model, n, r, c=7.0, density_kind=None):
+    """Largest m in [2, n + 1] whose spectral budget for density_kind (see
+    ``densities.spectral_budget``) stays below n / (c r log n)."""
     budget = mode_budget(n, r, c)
-    cap = m_cap if m_cap is not None else n + 1
     best = None
     m = 2
-    while m <= cap and spectral_budget(model, density_kind, m) <= budget:
+    while m <= n + 1 and spectral_budget(model, density_kind, m) <= budget:
         best = m
         m += 1
     if best is None:

@@ -8,7 +8,8 @@ from rkhslab import (DegenerateDensityError, ExplicitEigenvalues,
                      GeometricDecay, PolynomialDecay, SamplingDensity,
                      SobolevDecay, SpectralKernelModel, TruncationError,
                      draw_nodes, get_basis, nodes_from_points, trial_rng)
-from rkhslab.densities import NormalizedKernelView, invert_cosine_component_cdf
+from rkhslab.densities import (BUDGET_KINDS, NormalizedKernelView,
+                               invert_cosine_component_cdf, spectral_budget)
 
 
 def sob():
@@ -271,3 +272,31 @@ def test_draw_nodes_redraws_the_later_copy_of_a_collision(monkeypatch):
     redraw, _ = sample(rng, 2)
     first[[5, 9]] = redraw
     np.testing.assert_array_equal(nodes.x, first)
+
+
+def _budget_models():
+    fourier, cosine = get_basis("fourier"), get_basis("cosine")
+    return {
+        "fourier": SpectralKernelModel(fourier, PolynomialDecay(1.0)),
+        "fourier-atom": SpectralKernelModel(fourier, PolynomialDecay(1.0),
+                                            atom_mass=0.4),
+        "cosine": sob(),
+        "cosine-atom": sob_atom(),
+        "finite-rank": SpectralKernelModel(
+            cosine, ExplicitEigenvalues([1.0, 0.5, 0.25, 0.125])),
+    }
+
+
+@pytest.mark.parametrize("name", sorted(_budget_models()))
+def test_spectral_budget_bounds_every_budget_kind(name):
+    model = _budget_models()[name]
+    for kind in SamplingDensity.KINDS:
+        for m in (2, 3, 5):
+            if kind not in BUDGET_KINDS:
+                with pytest.raises(ValueError):
+                    spectral_budget(model, kind, m)
+                continue
+            view = NormalizedKernelView(model, SamplingDensity(model, kind,
+                                                               m=m))
+            top, _ = view.spectral_sum_grid_max(m, npts=20001)
+            assert top <= spectral_budget(model, kind, m) + 1e-9

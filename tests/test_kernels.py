@@ -441,3 +441,89 @@ def test_eval_block_high_window_matches_closed_forms():
     want = math.sqrt(2.0) * np.cos(math.pi * np.mod(np.outer(x, ks - 1), 2.0))
     np.testing.assert_allclose(get_basis("cosine").eval_block(ks, x), want,
                                rtol=0.0, atol=1e-13 * math.sqrt(2.0))
+
+
+def _sobolev_integral(s, t):
+    """int_t^inf (1+u^2)^(-s) du for s = 2, 3 from the elementary
+    antiderivatives, written in y = 1/t so that nothing cancels:
+
+        s = 2:  (atan y - y/(1+y^2)) / 2
+        s = 3:  3/8 (atan y - y/(1+y^2)) - 1/4 y^3/(1+y^2)^2
+
+    with atan y = sum (-1)^k y^(2k+1)/(2k+1), y/(1+y^2) = sum (-1)^k
+    y^(2k+1) and y^3/(1+y^2)^2 = sum (-1)^(k-1) k y^(2k+1)."""
+    y = 1.0 / t
+    terms = []
+    for k in range(10):
+        atan_minus_frac = (-1) ** k * (Fraction(1, 2 * k + 1) - 1)
+        if s == 2:
+            c = atan_minus_frac / 2
+        else:
+            c = Fraction(3, 8) * atan_minus_frac - (-1) ** (k - 1) * Fraction(
+                k, 4)
+        terms.append(float(c) * y ** (2 * k + 1))
+    return math.fsum(terms)
+
+
+def _sobolev_sum(s, j0, head=20000):
+    """sum_{j >= j0} (1+j^2)^(-s): a direct head, then Euler-Maclaurin from
+    t = j0 + head with the integral above; the next correction is of
+    relative size t^-4."""
+    j = np.arange(j0, j0 + head, dtype=float)
+    t = float(j0 + head)
+    f_t = (1.0 + t * t) ** (-s)
+    fp_t = -2.0 * s * t * (1.0 + t * t) ** (-s - 1)
+    return math.fsum(list((1.0 + j * j) ** (-s))
+                     + [_sobolev_integral(s, t), 0.5 * f_t, -fp_t / 12.0])
+
+
+@pytest.mark.parametrize("s", [2, 3])
+@pytest.mark.parametrize("m", [2, 3, 50, 4097, 10 ** 5, 10 ** 7])
+def test_sobolev_tail_matches_elementary_antiderivatives(s, m):
+    want = _sobolev_sum(s, m - 1)
+    assert SobolevDecay(float(s)).tail(m) == pytest.approx(want, rel=1e-13,
+                                                           abs=0.0)
+
+
+def _binomial_integral(s, t, terms=8):
+    """int_t^inf (1+u^2)^(-s) du for t > 1 from the binomial series
+    (1+u^2)^(-s) = sum_k C(-s, k) u^(-2s-2k), integrated term by term."""
+    out, coef = [], 1.0
+    for k in range(terms):
+        out.append(coef * t ** (1.0 - 2.0 * s - 2.0 * k)
+                   / (2.0 * s + 2.0 * k - 1.0))
+        coef *= -(s + k) / (k + 1)
+    return math.fsum(out)
+
+
+@pytest.mark.parametrize("s", [0.6, 0.75, 2.5])
+@pytest.mark.parametrize("m", [4097, 10 ** 5, 10 ** 7])
+def test_sobolev_tail_lies_in_the_integral_bracket(s, m):
+    # f decreasing: int_J^inf f <= sum_{j >= J} f(j) <= f(J) + int_J^inf f
+    j0 = m - 1
+    lower = _binomial_integral(s, float(j0))
+    upper = (1.0 + float(j0) ** 2) ** (-s) + lower
+    assert lower <= SobolevDecay(s).tail(m) <= upper
+
+
+def test_cosine_distribution_series_raises_at_its_cap():
+    # poly s = 0.8 leaves tail(cut+1)/(2 pi cut) at 6.7e-12 at cut = 2^22
+    from rkhslab import TruncationError
+    model = SpectralKernelModel(get_basis("cosine"), PolynomialDecay(0.8))
+    with pytest.raises(TruncationError):
+        model.basis.weighted_tail_cdf(model.rule, 3, np.array([0.3]))
+
+
+def test_import_leaves_scipy_integrate_unloaded():
+    import os
+    import subprocess
+    import sys
+
+    import rkhslab
+    src = os.path.dirname(os.path.dirname(os.path.abspath(rkhslab.__file__)))
+    out = subprocess.run(
+        [sys.executable, "-c", "import sys, rkhslab; print(sorted(m for m in "
+         "sys.modules if m.startswith('scipy.integrate')))"],
+        env=dict(os.environ, PYTHONPATH=src), capture_output=True, text=True)
+    assert out.returncode == 0, out.stderr
+    assert out.stdout.strip() == "[]"
