@@ -4,16 +4,15 @@ __version__ = "0.1.0"
 
 from .errors import (ConfigError, DegenerateDensityError, DomainError,
                      RankDeficientError, RkhsLabError, TruncationError)
-from .kernels import (CosineBasis, Domain, EigenvalueRule,
-                      ExplicitEigenvalues, FourierBasis, GeometricDecay,
-                      PolynomialDecay, SobolevDecay, SpectralKernelModel,
-                      get_basis)
+from .kernels import (CosineBasis, ExplicitEigenvalues, FourierBasis,
+                      GeometricDecay, PolynomialDecay, SobolevDecay,
+                      SpectralKernelModel, get_basis)
 from .densities import (NodeSet, NormalizedKernelView, SamplingDensity,
                         draw_nodes, nodes_from_points, spectral_budget,
                         trial_rng)
-from .leastsq import (Coefficients, DesignSystem, assemble_design,
-                      dump_design, gram_eig_check, recover)
-from .worstcase import (BOUND_NAMES, FAIL_MULT, BoundReport, bound, choose_m,
+from .leastsq import (DesignSystem, assemble_design, dump_design,
+                      gram_eig_check, recover)
+from .worstcase import (BOUND_NAMES, FAIL_MULT, bound, choose_m,
                         exact_wce_discretization, exact_wce_recovery,
                         max_m_under, mc_sup_quadratic, mc_sup_singular,
                         model_bound_inputs, power_iteration_norm,

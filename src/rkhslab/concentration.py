@@ -159,9 +159,10 @@ def default_t_grid(family, n, points=10):
     return np.linspace(t_min, 1.0, points + 1)[1:]
 
 
-def wilson_interval(successes, total, z=WILSON_Z):
+def wilson_interval(successes, total):
     if total <= 0:
         raise ValueError("need at least one observation")
+    z = WILSON_Z
     phat = successes / total
     denom = 1.0 + z * z / total
     center = (phat + z * z / (2 * total)) / denom
@@ -193,16 +194,12 @@ class TailExperiment:
         return devs
 
     def empirical_tail(self, t):
-        if self.deviations is None:
-            self.run()
         hits = int(np.count_nonzero(self.deviations >= t))
         rate = hits / self.trials
         return rate, wilson_interval(hits, self.trials)
 
     def curve(self):
-        """Rows (t, rate, wilson_lo, wilson_hi, envelope) over the grid."""
-        if self.deviations is None:
-            self.run()
+        """Rows (t, rate, wilson_lo, wilson_hi, envelope) after ``run``."""
         rows = []
         for t in np.atleast_1d(self.t_grid):
             rate, (lo, hi) = self.empirical_tail(float(t))

@@ -29,6 +29,7 @@ from .errors import DegenerateDensityError, TruncationError
 from .kernels import TWO_PI, grid_maximum
 
 _TAIL_TABLE_CAP = 1 << 16
+_BISECTION_STEPS = 60  # halvings in invert_cosine_component_cdf
 
 # density kind -> its mixture terms: "spectral" is the mean of |eta_k|^2 over
 # k < m, "rest" the eigenvalue tail from m with the atom, "tail" the tail
@@ -123,31 +124,24 @@ class SamplingDensity:
     def mixture_weights(self):
         return dict(self._weights)
 
-    def component_values(self, x):
-        """Each mixture term's own probability density at x (integrates to 1)."""
+    def evaluate(self, x):
+        """The weighted sum of each term's own probability density at x."""
         x = np.atleast_1d(np.asarray(x, dtype=float))
         model = self.model
-        out = {}
-        for term in self._weights:
-            if term == "plain" or term == "atom":
-                out[term] = np.ones(x.shape)
+        total = np.zeros(x.shape)
+        for term, w in self._weights.items():
+            if term in ("plain", "atom"):
+                value = 1.0
             elif term == "spectral":
-                out[term] = model.basis.spectral_sum_at(self.m, x) / (self.m - 1)
+                value = model.basis.spectral_sum_at(self.m, x) / (self.m - 1)
             else:
                 start, atom = self._tail_term(term)
                 v, res = model.tail_energy_at(start, x)
                 if res > model.eps_trunc:
                     raise TruncationError(
                         "tail series residual %.3e > eps" % res)
-                out[term] = (v + atom) / (model.tail_sum(start) + atom)
-        return out
-
-    def evaluate(self, x):
-        x = np.atleast_1d(np.asarray(x, dtype=float))
-        comps = self.component_values(x)
-        total = np.zeros(x.shape)
-        for term, w in self._weights.items():
-            total += w * comps[term]
+                value = (v + atom) / (model.tail_sum(start) + atom)
+            total += w * value
         return total
 
     def sup_inverse(self):
@@ -274,7 +268,7 @@ def spectral_budget(model, density_kind, m):
     return float(len(KIND_TERMS[density_kind]) * (m - 1))
 
 
-def invert_cosine_component_cdf(freqs, u, iters=60):
+def invert_cosine_component_cdf(freqs, u):
     """Solve F_j(x) = x + sin(2 pi j x)/(2 pi j) = u on [0, 1], vectorized.
 
     Bisection only: F is monotone with flat points, 60 halvings push the
@@ -293,7 +287,7 @@ def invert_cosine_component_cdf(freqs, u, iters=60):
         lo = np.zeros(target.shape)
         hi = np.ones(target.shape)
         wj = TWO_PI * j
-        for _ in range(iters):
+        for _ in range(_BISECTION_STEPS):
             mid = 0.5 * (lo + hi)
             val = mid + np.sin(wj * mid) / wj
             high = val > target

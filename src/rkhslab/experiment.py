@@ -292,13 +292,10 @@ class ExperimentReport:
 
 
 def _fmt_cell(v):
-    if isinstance(v, (bool, np.bool_)):
-        return "1" if v else "0"
+    """Every cell is a number: an int (a flag too, as 0 or 1) or a float."""
     if isinstance(v, (int, np.integer)):
         return str(int(v))
-    if isinstance(v, (float, np.floating)):
-        return repr(float(v))
-    return str(v)
+    return repr(float(v))
 
 
 def write_rows_csv(path, header, rows):
@@ -310,21 +307,13 @@ def write_rows_csv(path, header, rows):
 
 
 def _json_safe(obj):
+    """Bound reports: nested dicts of plain values, and the rule, written
+    as its ``describe()``."""
     if isinstance(obj, dict):
         return {k: _json_safe(v) for k, v in obj.items()}
-    if isinstance(obj, (list, tuple)):
-        return [_json_safe(v) for v in obj]
-    if isinstance(obj, (np.integer,)):
-        return int(obj)
-    if isinstance(obj, (np.floating,)):
-        return float(obj)
-    if isinstance(obj, np.ndarray):
-        return [_json_safe(v) for v in obj.tolist()]
-    if isinstance(obj, (str, int, float, bool)) or obj is None:
-        return obj
     if hasattr(obj, "describe"):
         return obj.describe()
-    return str(obj)
+    return obj
 
 
 def _bound_payload(rep):

@@ -38,6 +38,8 @@ from scipy.special import beta, betainc, zeta
 from .errors import DomainError, TruncationError
 
 TWO_PI = 2.0 * math.pi
+_EPS_TRUNC_REL = 1e-10  # truncation tolerance relative to the trace
+_TERNARY_STEPS = 40  # refinement steps after the grid scan of grid_maximum
 
 
 @dataclass(frozen=True)
@@ -109,9 +111,6 @@ class EigenvalueRule:
             else:
                 lo = mid + 1
         return lo
-
-    def describe(self):
-        return {"name": self.name}
 
 
 class PolynomialDecay(EigenvalueRule):
@@ -212,8 +211,10 @@ class ExplicitEigenvalues(EigenvalueRule):
 
     def __init__(self, values):
         vals = np.asarray(list(values), dtype=float)
-        if vals.size and (np.any(vals <= 0.0) or np.any(np.diff(vals) > 1e-15)):
-            raise ValueError("explicit eigenvalues must be positive and non-increasing")
+        if (not vals.size or np.any(vals <= 0.0)
+                or np.any(np.diff(vals) > 1e-15)):
+            raise ValueError("explicit eigenvalues must be a non-empty, "
+                             "positive, non-increasing list")
         self._values = vals
         self.rank = int(vals.size)
         self._suffix = np.concatenate([np.cumsum(vals[::-1])[::-1], [0.0]])
@@ -575,11 +576,8 @@ class CosineBasis:
         |eta_k|^2: F_1(x) = x, F_k(x) = x + sin(2 pi f x) / (2 pi f) with
         f = k - 1."""
         x = np.asarray(x, dtype=float)
-        tail = rule.tail(m)
-        if tail == 0.0:
-            return tail * x
         osc = self._osc_cdf(rule, max(m, 2), TWO_PI * (x % 1.0))
-        return tail * x + osc / TWO_PI
+        return rule.tail(m) * x + osc / TWO_PI
 
     def kernel_sum_at(self, rule, x, y, eps):
         """Product expansion: 2 cos(a) cos(b) = cos(a-b) + cos(a+b)."""
@@ -631,7 +629,7 @@ def get_basis(name):
 # ---------------------------------------------------------------------------
 
 
-def grid_maximum(f, npts=100001, refine=40):
+def grid_maximum(f, npts=100001):
     """Maximize a vectorized function on [0, 1] by grid + local ternary refine.
 
     Returns (value, resolution) where resolution is the final bracket width.
@@ -643,7 +641,7 @@ def grid_maximum(f, npts=100001, refine=40):
     lo = xs[max(i - 1, 0)]
     hi = xs[min(i + 1, npts - 1)]
     best = float(vals[i])
-    for _ in range(refine):
+    for _ in range(_TERNARY_STEPS):
         a = lo + (hi - lo) / 3.0
         b = hi - (hi - lo) / 3.0
         fa = float(f(np.asarray([a]))[0])
@@ -665,13 +663,13 @@ class SpectralKernelModel:
     """Kernel with explicit eigenvalue sequence, basis, and diagonal atom.
 
     Immutable after construction.  ``eps_trunc`` is the absolute truncation
-    tolerance (relative tolerance times the eigenvalue trace);
+    tolerance (``_EPS_TRUNC_REL`` times the eigenvalue trace);
     ``trunc_index`` is the smallest N with tail_sum(N+1) <= eps_trunc, kept as
     a number (it may be astronomically large for slow decay; operations that
     materialize arrays use their own caps and report residuals instead).
     """
 
-    def __init__(self, basis, rule, atom_mass=0.0, eps_trunc_rel=1e-10):
+    def __init__(self, basis, rule, atom_mass=0.0):
         if isinstance(basis, str):
             basis = get_basis(basis)
         if atom_mass < 0.0:
@@ -679,10 +677,8 @@ class SpectralKernelModel:
         self.basis = basis
         self.rule = rule
         self.atom_mass = float(atom_mass)
-        self.eps_trunc_rel = float(eps_trunc_rel)
-        base = rule.total()
-        self.eps_trunc = eps_trunc_rel * base if base > 0.0 else eps_trunc_rel
-        self.trunc_index = rule.index_for_tail(self.eps_trunc) if base > 0.0 else 0
+        self.eps_trunc = _EPS_TRUNC_REL * rule.total()
+        self.trunc_index = rule.index_for_tail(self.eps_trunc)
 
     # -- scalar spectral data ------------------------------------------------
 
@@ -707,15 +703,12 @@ class SpectralKernelModel:
     @property
     def embedding_norm(self):
         """Operator norm of the embedding into L2: the top singular value."""
-        if self.rank == 0:
-            return 0.0
         return math.sqrt(self.rule.value(1))
 
     @property
     def sup_diag(self):
         """sup_x K(x, x); the squared sup-norm bound for the kernel."""
-        base = self.basis.weighted_tail_max(self.rule, 1) if self.rank != 0 else 0.0
-        return base + self.atom_mass
+        return self.basis.weighted_tail_max(self.rule, 1) + self.atom_mass
 
     def eigenvalues(self, ks):
         return self.rule.values(ks)
@@ -731,11 +724,7 @@ class SpectralKernelModel:
     def diag_value(self, x):
         """K(x, x), vectorized; exact for the built-in combinations."""
         x = np.atleast_1d(np.asarray(x, dtype=float))
-        if self.rank == 0:
-            vals = np.zeros(x.shape)
-            res = 0.0
-        else:
-            vals, res = self.basis.weighted_tail_at(self.rule, 1, x)
+        vals, res = self.basis.weighted_tail_at(self.rule, 1, x)
         if res > self.eps_trunc:
             raise TruncationError("diagonal series residual %.3e > eps" % res)
         return vals + self.atom_mass
@@ -746,8 +735,6 @@ class SpectralKernelModel:
         ys = self.domain.canonical(np.asarray([y], dtype=float))[0]
         if xs == ys:
             return complex(self.diag_value(xs)[0])
-        if self.rank == 0:
-            return 0.0 + 0.0j
         val, _res = self.basis.kernel_sum_at(self.rule, xs, ys, self.eps_trunc)
         return val
 
@@ -776,8 +763,6 @@ class SpectralKernelModel:
         """T(m) = sup_x sum_{k >= m} lambda_k |eta_k(x)|^2, exact."""
         if m < 1:
             raise ValueError("m must be >= 1")
-        if self.rank is not None and m > self.rank:
-            return 0.0
         return self.basis.weighted_tail_max(self.rule, m)
 
     def tail_function_grid(self, m, npts=100001):
@@ -794,15 +779,4 @@ class SpectralKernelModel:
 
     def tail_energy_at(self, m, x):
         """Pointwise tail energy with its residual bound."""
-        if self.rank is not None and m > self.rank:
-            x = np.atleast_1d(np.asarray(x, dtype=float))
-            return np.zeros(x.shape), 0.0
         return self.basis.weighted_tail_at(self.rule, m, x)
-
-    def describe(self):
-        return {
-            "basis": self.basis.name,
-            "eigenvalues": self.rule.describe(),
-            "atom_mass": self.atom_mass,
-            "eps_trunc_rel": self.eps_trunc_rel,
-        }

@@ -39,6 +39,11 @@ _TRUNC_CAP = 4096
 # relative bracket width at which the secular solve stops, and its step cap
 _SECULAR_WIDTH = 1e-14
 _SECULAR_STEPS = 90
+# power iteration: step cap and relative change at which it stops; Monte
+# Carlo oracles draw their unit vectors in chunks of _MC_CHUNK
+_POWER_STEPS = 200
+_POWER_TOL = 1e-9
+_MC_CHUNK = 2048
 
 
 # ---------------------------------------------------------------------------
@@ -206,10 +211,10 @@ def _recovery_parts(model, density, nodes, m, trunc, design):
 # ---------------------------------------------------------------------------
 
 
-def recovery_error_matrix(model, density, nodes, m, trunc=None, design=None):
+def recovery_error_matrix(model, density, nodes, m, trunc=None):
     """Dense error operator; meant for small N (tests and oracles)."""
-    ds, C, _, sig, N, resid = _recovery_parts(model, density, nodes, m,
-                                              trunc, design)
+    _, C, _, sig, N, resid = _recovery_parts(model, density, nodes, m,
+                                             trunc, None)
     if N > 2000:
         raise ValueError("dense error matrix capped at N=2000, got %d" % N)
     E = np.zeros((N, N), dtype=C.dtype)
@@ -318,7 +323,7 @@ def _random_units(rng, dim, count, dtype):
     return v / np.linalg.norm(v, axis=0)[None, :]
 
 
-def power_iteration_norm(mat, iters=200, tol=1e-9, start=None, rng=None):
+def power_iteration_norm(mat, start=None, rng=None):
     """Largest singular value of ``mat`` by power iteration on mat* mat."""
     mat = np.asarray(mat)
     dim = mat.shape[1]
@@ -329,7 +334,7 @@ def power_iteration_norm(mat, iters=200, tol=1e-9, start=None, rng=None):
         v = _random_units(rng, dim, 1, mat.dtype)[:, 0]
     v /= np.linalg.norm(v)
     last = 0.0
-    for _ in range(iters):
+    for _ in range(_POWER_STEPS):
         u = mat @ v
         s = np.linalg.norm(u)
         if s == 0.0:
@@ -340,63 +345,56 @@ def power_iteration_norm(mat, iters=200, tol=1e-9, start=None, rng=None):
             return float(s)
         v /= nv
         est = math.sqrt(nv)
-        if abs(est - last) <= tol * max(est, 1.0):
+        if abs(est - last) <= _POWER_TOL * max(est, 1.0):
             return float(est)
         last = est
     return float(last)
 
 
-def mc_sup_singular(mat, trials, rng, refine_iters=200, tol=1e-9):
-    """(raw Monte Carlo sup, power-iteration refinement) of ||mat a||."""
-    mat = np.asarray(mat)
-    dim = mat.shape[1]
+def _mc_sup(stat, dim, dtype, trials, rng):
+    """(largest stat, its unit vector) over ``trials`` random unit vectors,
+    drawn in chunks; ``stat`` maps a dim x k block to k values."""
     best = 0.0
     best_v = None
-    chunk = 2048
     done = 0
     while done < trials:
-        take = min(chunk, trials - done)
-        V = _random_units(rng, dim, take, mat.dtype)
-        norms = np.linalg.norm(mat @ V, axis=0)
-        i = int(np.argmax(norms))
-        if norms[i] > best:
-            best = float(norms[i])
-            best_v = V[:, i].copy()
-        done += take
-    refined = power_iteration_norm(mat, iters=refine_iters, tol=tol,
-                                   start=best_v)
-    return best, max(best, refined)
-
-
-def mc_sup_quadratic(Y, trials, rng, refine_iters=200, tol=1e-9):
-    """(raw Monte Carlo sup, refinement) of |a* Y a| for Hermitian Y."""
-    Y = np.asarray(Y)
-    dim = Y.shape[0]
-    best = 0.0
-    best_v = None
-    chunk = 2048
-    done = 0
-    while done < trials:
-        take = min(chunk, trials - done)
-        V = _random_units(rng, dim, take, Y.dtype)
-        vals = np.abs(np.einsum("ij,ij->j", V.conj(), Y @ V).real)
+        take = min(_MC_CHUNK, trials - done)
+        V = _random_units(rng, dim, take, dtype)
+        vals = stat(V)
         i = int(np.argmax(vals))
         if vals[i] > best:
             best = float(vals[i])
             best_v = V[:, i].copy()
         done += take
+    return best, best_v
+
+
+def mc_sup_singular(mat, trials, rng):
+    """(raw Monte Carlo sup, power-iteration refinement) of ||mat a||."""
+    mat = np.asarray(mat)
+    best, best_v = _mc_sup(lambda V: np.linalg.norm(mat @ V, axis=0),
+                           mat.shape[1], mat.dtype, trials, rng)
+    return best, max(best, power_iteration_norm(mat, start=best_v))
+
+
+def mc_sup_quadratic(Y, trials, rng):
+    """(raw Monte Carlo sup, refinement) of |a* Y a| for Hermitian Y."""
+    Y = np.asarray(Y)
+    best, best_v = _mc_sup(
+        lambda V: np.abs(np.einsum("ij,ij->j", V.conj(), Y @ V).real),
+        Y.shape[0], Y.dtype, trials, rng)
     # power iteration on the Hermitian matrix itself converges to the
     # eigenvalue of largest modulus
     v = best_v
     last = best
-    for _ in range(refine_iters):
+    for _ in range(_POWER_STEPS):
         u = Y @ v
         nu = np.linalg.norm(u)
         if nu == 0.0:
             break
         v = u / nu
         est = abs(float((v.conj() @ (Y @ v)).real))
-        if abs(est - last) <= tol * max(est, 1.0):
+        if abs(est - last) <= _POWER_TOL * max(est, 1.0):
             last = est
             break
         last = est

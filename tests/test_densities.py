@@ -300,3 +300,15 @@ def test_spectral_budget_bounds_every_budget_kind(name):
                                                                m=m))
             top, _ = view.spectral_sum_grid_max(m, npts=20001)
             assert top <= spectral_budget(model, kind, m) + 1e-9
+
+
+@pytest.mark.parametrize("kind,m,atom", [
+    ("plain", None, 0.0), ("spectral-mix", 4, 0.0),
+    ("spectral-mix-atom", 4, 0.3), ("kernel-diag", None, 0.3)])
+def test_fourier_distribution_function_is_the_identity(kind, m, atom):
+    # every |eta_k|^2 is 1 on the torus, so every Fourier density is flat
+    model = SpectralKernelModel(get_basis("fourier"), PolynomialDecay(1.0),
+                                atom_mass=atom)
+    d = SamplingDensity(model, kind, m=m)
+    x = np.linspace(0.0, 1.0, 29)
+    np.testing.assert_allclose(d.cdf(x), x, rtol=0.0, atol=1e-14)

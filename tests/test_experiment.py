@@ -404,3 +404,64 @@ seed = 3
     assert rep.summary["trunc"] == want.trunc_dim
     assert rep.rows[0][-1] == want.trunc_dim
     assert rep.rows[0][5] == want.value
+
+
+_RECOVER_TINY = """
+kind = recover
+basis = fourier
+n = 50
+r = 2.0
+trials = 1
+trunc = 64
+"""
+
+
+@pytest.mark.parametrize("decay", [
+    "decay = poly\ns = 1.0\n", "decay = sobolev\ns = 1.5\n",
+    "decay = geometric\nq = 0.5\nscale = 2.0\n",
+    "decay = explicit\nvalues = 1.0, 0.5, 0.25\n"])
+def test_recover_summary_echoes_the_rule(tmp_path, decay):
+    cfg = build(_RECOVER_TINY + decay)
+    rep = ex.run(cfg)
+    rep.write(str(tmp_path))
+    with open(tmp_path / "summary.json", encoding="utf-8") as fh:
+        bounds = json.load(fh)["summary"]["bounds"]
+    want = ex.build_model(cfg).rule.describe()
+    assert want["name"] == cfg.decay
+    assert bounds and all(b["inputs"]["rule"] == want
+                          for b in bounds.values())
+
+
+_CONCENTRATION_TINY = "kind = concentration\nn = 50\ntrials = 2\n"
+
+CONFIG_ERRORS = [
+    pytest.param("atom_mass:", _RECOVER_TINY + "atom_mass = -1\n",
+                 id="negative-atom-mass"),
+    pytest.param("seed:", _RECOVER_TINY + "seed = -1\n", id="negative-seed"),
+    pytest.param("n_grid:", "kind = sweep\nn_grid = 2, 10, 20, 40\n",
+                 id="n-grid-point-below-3"),
+    pytest.param("n:", "kind = recover\n", id="missing-n"),
+    pytest.param("trunc:", _RECOVER_TINY + "trunc = 0\n", id="trunc-zero"),
+    pytest.param("dim:", _CONCENTRATION_TINY + "dim = 0\n", id="dim-zero"),
+    pytest.param("t_points:", _CONCENTRATION_TINY + "t_points = 0\n",
+                 id="t-points-zero"),
+    pytest.param("weighted:", "kind = discretize\nn = 50\nweighted = maybe\n",
+                 id="weighted-maybe"),
+    pytest.param("basis:", _RECOVER_TINY + "basis = chebyshev\n",
+                 id="unknown-basis"),
+    pytest.param("values:", _RECOVER_TINY + "decay = explicit\n",
+                 id="explicit-without-values"),
+    pytest.param("density:", _RECOVER_TINY
+                 + "density = kernel-diag\nm_rule = max-cond-7\n",
+                 id="kernel-diag-max-cond-recover"),
+    pytest.param("atom_mass:", "kind = discretize\nn = 50\natom_mass = 0.1\n",
+                 id="discretize-with-atom"),
+    pytest.param("atom_mass:", _CONCENTRATION_TINY + "atom_mass = 0.1\n",
+                 id="kernel-family-with-atom"),
+]
+
+
+@pytest.mark.parametrize("key,text", CONFIG_ERRORS)
+def test_config_errors_start_with_their_key(key, text):
+    with pytest.raises(ConfigError, match="^" + key):
+        ex.run(build(text))

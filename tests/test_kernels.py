@@ -527,3 +527,27 @@ def test_import_leaves_scipy_integrate_unloaded():
         env=dict(os.environ, PYTHONPATH=src), capture_output=True, text=True)
     assert out.returncode == 0, out.stderr
     assert out.stdout.strip() == "[]"
+
+
+@pytest.mark.parametrize("name", ["fourier", "cosine"])
+@pytest.mark.parametrize("beyond", [1, 2, 3])
+def test_explicit_model_beyond_its_rank_is_exactly_zero(name, beyond):
+    # m = rank + 1, rank + 2 and 3 rank: every tail quantity is an exact
+    # zero with a zero residual
+    vals = [1.0, 0.5, 0.25]
+    m = {1: 4, 2: 5, 3: 9}[beyond]
+    rule = ExplicitEigenvalues(vals)
+    basis = get_basis(name)
+    model = SpectralKernelModel(basis, rule)
+    x = np.linspace(0.0, 1.0, 37)
+    assert model.tail_function(m) == 0.0
+    energy, residual = model.tail_energy_at(m, x)
+    np.testing.assert_array_equal(energy, np.zeros(x.shape))
+    assert residual == 0.0
+    np.testing.assert_array_equal(basis.weighted_tail_cdf(rule, m, x),
+                                  np.zeros(x.shape))
+
+
+def test_explicit_rule_rejects_an_empty_list():
+    with pytest.raises(ValueError, match="non-empty"):
+        ExplicitEigenvalues([])
