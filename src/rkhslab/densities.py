@@ -21,6 +21,7 @@ TruncationError instead of being capped.
 """
 
 import csv
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -29,7 +30,7 @@ from .errors import DegenerateDensityError, TruncationError
 from .kernels import TWO_PI, grid_maximum
 
 _TAIL_TABLE_CAP = 1 << 16
-_BISECTION_STEPS = 60  # halvings in invert_cosine_component_cdf
+_NEWTON_STEPS = 4  # in invert_cosine_component_cdf
 
 # density kind -> its mixture terms: "spectral" is the mean of |eta_k|^2 over
 # k < m, "rest" the eigenvalue tail from m with the atom, "tail" the tail
@@ -271,29 +272,35 @@ def spectral_budget(model, density_kind, m):
 def invert_cosine_component_cdf(freqs, u):
     """Solve F_j(x) = x + sin(2 pi j x)/(2 pi j) = u on [0, 1], vectorized.
 
-    Bisection only: F is monotone with flat points, 60 halvings push the
-    bracket width below 1e-18 which is far inside the 1e-12 target.
-    Frequency 0 means the uniform component.
+    Reduced form: with j u = l + v (l integer, v in [0, 1)) the root is
+    x = (l + 1/2 + s)/j, where s in [-1/2, 1/2] solves
+    g(s) = s - sin(2 pi s)/(2 pi) = v - 1/2.  g is increasing with one flat
+    point, at s = 0, where it behaves like (2 pi)^2 s^3 / 6.  Newton steps
+    on g start from that cube root; across [-1/2, 1/2] three of them reach
+    1e-10 in s, and the fourth is margin.  A step that is not finite
+    (g' = 0 at s = 0) keeps the previous iterate.  Frequency 0 means the
+    uniform component.
     """
     freqs = np.asarray(freqs, dtype=float)
     u = np.asarray(u, dtype=float)
     out = np.empty(u.shape)
-    flat = freqs == 0
-    out[flat] = u[flat]
-    act = ~flat
+    uniform = freqs == 0
+    out[uniform] = u[uniform]
+    act = ~uniform
     if np.any(act):
         j = freqs[act]
-        target = u[act]
-        lo = np.zeros(target.shape)
-        hi = np.ones(target.shape)
-        wj = TWO_PI * j
-        for _ in range(_BISECTION_STEPS):
-            mid = 0.5 * (lo + hi)
-            val = mid + np.sin(wj * mid) / wj
-            high = val > target
-            hi = np.where(high, mid, hi)
-            lo = np.where(high, lo, mid)
-        out[act] = 0.5 * (lo + hi)
+        ju = j * u[act]
+        whole = np.floor(ju)
+        rhs = (ju - whole) - 0.5
+        s = np.cbrt(6.0 / TWO_PI ** 2 * rhs)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            for _ in range(_NEWTON_STEPS):
+                # g'(s) = 1 - cos(2 pi s) = 2 sin^2(pi s), without cancellation
+                step = ((s - np.sin(TWO_PI * s) / TWO_PI - rhs)
+                        / (2.0 * np.sin(math.pi * s) ** 2))
+                s = np.where(np.isfinite(step), s - step, s)
+        # s in [-1/2, 1/2] keeps x in [0, 1] whatever the last rounding
+        out[act] = (whole + 0.5 + np.clip(s, -0.5, 0.5)) / j
     return out
 
 

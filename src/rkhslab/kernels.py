@@ -23,9 +23,10 @@ Every value exp(i*f*theta) at a set of angles comes from one recurrence:
 n-vector multiply per frequency.  Basis blocks gather its rows, started at
 the exact exp(i*lo*theta) of their lowest frequency; weighted moments and
 trigonometric series split f = c*B + b with B near sqrt(top) and contract a
-rotation table (b < B) with an anchor table (steps of exp(i*B*theta)).  Only
-closed forms (geometric sums, the cosine series of 1/(1+j^2) and its sine
-companion) evaluate trigonometric functions directly.
+rotation table (b < B) with an anchor table (steps of exp(i*B*theta)), one
+block of nodes at a time.  Only closed forms (geometric sums, the cosine
+series of 1/(1+j^2) and its sine companion) evaluate trigonometric functions
+directly.
 """
 
 import math
@@ -40,6 +41,7 @@ from .errors import DomainError, TruncationError
 TWO_PI = 2.0 * math.pi
 _EPS_TRUNC_REL = 1e-10  # truncation tolerance relative to the trace
 _TERNARY_STEPS = 40  # refinement steps after the grid scan of grid_maximum
+_NODE_BLOCK = 1024  # nodes per pair of split tables
 
 
 @dataclass(frozen=True)
@@ -243,11 +245,11 @@ class ExplicitEigenvalues(EigenvalueRule):
 # ---------------------------------------------------------------------------
 
 
-def _geometric_rows(first, ratio, count):
-    """Rows first * ratio**k for k < count, each one n-vector multiply."""
-    out = np.empty((count, np.size(ratio)), dtype=complex)
+def _geometric_rows(first, ratio, out):
+    """Fill the rows of ``out`` with first * ratio**k, each one row-vector
+    multiply, and return it."""
     out[0] = first
-    for k in range(1, count):
+    for k in range(1, out.shape[0]):
         np.multiply(out[k - 1], ratio, out=out[k])
     return out
 
@@ -257,50 +259,90 @@ def _power_rows(x, period, lo, hi):
     (lo*x reduced modulo the period) by ``_geometric_rows`` steps."""
     scale = TWO_PI / period
     first = 1.0 if lo == 0 else np.exp(1j * (scale * np.mod(lo * x, period)))
-    return _geometric_rows(first, np.exp(1j * (scale * x)), hi - lo + 1)
+    return _geometric_rows(first, np.exp(1j * (scale * x)),
+                           np.empty((hi - lo + 1, x.size), dtype=complex))
+
+
+def _split_shape(top):
+    """(C, B) of the split f = c*B + b <= top: B = isqrt(top) + 1 rotations
+    and C = ceil((top + 1) / B) anchors."""
+    step = math.isqrt(top) + 1
+    return -(-(top + 1) // step), step
 
 
 def _split_tables(theta, v, top):
-    """Anchor and rotation tables for the frequencies f = c*B + b <= top.
+    """Anchor and rotation tables for the frequencies f = c*B + b <= top,
+    one block of ``_NODE_BLOCK`` nodes at a time.
 
-    B = isqrt(top) + 1.  The rotation table R holds exp(i*b*theta_i) for
-    b < B and the anchor table A holds v_i exp(i*c*B*theta_i); both are
-    powers of the one exact ``exp(i*theta)``, e^{iB theta} being one more
-    step of R, so each row costs one n-vector multiply and memory stays at
-    O(n sqrt(top)).
+    Yields (node slice, A, R) per block in node order, with the shapes of
+    ``_split_shape``.  The rotation table R holds exp(i*b*theta_i) for b < B
+    and the anchor table A holds v_i exp(i*c*B*theta_i) (a scalar v weights
+    every node alike); both are powers of the one exact ``exp(i*theta)``,
+    e^{iB theta} being one more step of R, so each row costs one
+    block-vector multiply.  Every block refills the same two buffers, so a
+    block's tables hold until the next block is drawn and memory is
+    O(block sqrt(top)) whatever the node count.  Each node's entries are the
+    bits unblocked tables would hold.
     """
-    step = math.isqrt(top) + 1
-    rotations = _geometric_rows(1.0, np.exp(1j * theta), step + 1)
-    anchors = _geometric_rows(v, rotations[step], -(-(top + 1) // step))
-    return anchors, rotations[:step]
+    count, step = _split_shape(top)
+    width = min(theta.size, _NODE_BLOCK)
+    rotations = np.empty((step + 1, width), dtype=complex)
+    anchors = np.empty((count, width), dtype=complex)
+    # an empty theta still yields one (empty) block
+    for lo in range(0, max(theta.size, 1), _NODE_BLOCK):
+        part = slice(lo, lo + _NODE_BLOCK)
+        ratio = np.exp(1j * theta[part])
+        rot = _geometric_rows(1.0, ratio, rotations[:, : ratio.size])
+        anc = _geometric_rows(v[part] if np.ndim(v) else v, rot[step],
+                              anchors[:, : ratio.size])
+        yield part, anc, rot[:step]
 
 
 def _weighted_moments(theta, v, top):
-    """S(f) = sum_i v_i exp(i*f*theta_i) for f = 0..top, as one product.
+    """S(f) = sum_i v_i exp(i*f*theta_i) for f = 0..top.
 
-    With f = c*B + b, S(f) is entry (c, b) of A R^T for the tables of
-    ``_split_tables``, both powers of exp(i*theta) by the one recurrence of
-    ``_geometric_rows``.  The recurrence steps add (B + C) * eps of drift;
-    the rounding of exp(i*theta) itself grows with f to about top * eps, the
+    With f = c*B + b, S(f) is entry (c, b) of the sum over node blocks of
+    A R^T for the tables of ``_split_tables``, both powers of exp(i*theta)
+    by the one recurrence of ``_geometric_rows``.  The blocks are added in
+    node order to the first block's product, so up to ``_NODE_BLOCK`` nodes
+    give the one product of the unblocked tables bit for bit; memory is
+    O(block sqrt(top)).  The recurrence steps add (B + C) * eps of drift; the
+    rounding of exp(i*theta) itself grows with f to about top * eps, the
     order of the rounding of the argument f*theta in a direct ``exp``.
     """
-    anchors, rotations = _split_tables(theta, v, top)
-    return (anchors @ rotations.T).ravel()[: top + 1]
+    blocks = _split_tables(theta, v, top)
+    _, anchors, rotations = next(blocks)
+    total = anchors @ rotations.T
+    for _, anchors, rotations in blocks:
+        total += anchors @ rotations.T
+    return total.ravel()[: top + 1]
 
 
 def _trig_series(theta, coef):
     """sum_f coef[f] exp(i*f*theta) at each theta, f = 0..len(coef) - 1.
 
     The transposed contraction of ``_weighted_moments``: with coef laid out
-    as a C x B table M, the series at theta_i is sum_c A[c, i] (M R)[c, i].
+    as a C x B table M, the series at theta_i is sum_c A[c, i] (M R)[c, i],
+    written block by block of nodes.
     """
     theta = np.asarray(theta, dtype=float)
-    anchors, rotations = _split_tables(theta.ravel(), 1.0, coef.size - 1)
-    table = np.zeros(anchors.shape[0] * rotations.shape[0], dtype=coef.dtype)
+    top = coef.size - 1
+    count, step = _split_shape(top)
+    table = np.zeros(count * step, dtype=coef.dtype)
     table[: coef.size] = coef
-    table = table.reshape(anchors.shape[0], rotations.shape[0])
-    out = np.einsum("ci,ci->i", anchors, table @ rotations)
+    table = table.reshape(count, step)
+    out = np.empty(theta.size, dtype=complex)
+    for part, anchors, rotations in _split_tables(theta.ravel(), 1.0, top):
+        np.einsum("ci,ci->i", anchors, table @ rotations, out=out[part])
     return out.reshape(theta.shape)
+
+
+def _eval_one(basis, k, x):
+    """eta_k at x through the basis's ``eval_block``; a scalar x gives a
+    scalar.  Both bases bind it as their ``eval``."""
+    scalar = np.isscalar(x)
+    out = basis.eval_block([int(k)], np.atleast_1d(x))[:, 0]
+    return out[0] if scalar else out
 
 
 class FourierBasis:
@@ -370,10 +412,7 @@ class FourierBasis:
             return np.fft.ifft(spectrum * np.fft.fft(ordered))[pos]
         return apply
 
-    def eval(self, k, x):
-        scalar = np.isscalar(x)
-        out = self.eval_block([int(k)], np.atleast_1d(x))[:, 0]
-        return out[0] if scalar else out
+    eval = _eval_one
 
     def spectral_sum_max(self, m):
         # |eta_k|^2 == 1
@@ -492,10 +531,7 @@ class CosineBasis:
                                     size)[:N]
         return apply
 
-    def eval(self, k, x):
-        scalar = np.isscalar(x)
-        out = self.eval_block([int(k)], np.atleast_1d(x))[:, 0]
-        return out[0] if scalar else out
+    eval = _eval_one
 
     def spectral_sum_max(self, m):
         # at x = 0: 1 + 2 (m - 2) for m >= 2

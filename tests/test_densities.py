@@ -142,6 +142,54 @@ def test_component_inverse_cdf_ks():
     assert ks < 0.002
 
 
+def _bisection_inverse(freqs, u):
+    """Oracle: 60 bisection halvings of F_j(x) = x + sin(2 pi j x)/(2 pi j)
+    = u on [0, 1], with F evaluated in floats."""
+    j = np.asarray(freqs, dtype=float)
+    lo = np.zeros(u.shape)
+    hi = np.ones(u.shape)
+    wj = 2 * math.pi * j
+    for _ in range(60):
+        mid = 0.5 * (lo + hi)
+        high = mid + np.sin(wj * mid) / wj > u
+        hi = np.where(high, mid, hi)
+        lo = np.where(high, lo, mid)
+    return 0.5 * (lo + hi)
+
+
+NEWTON_FREQS = [1, 2, 7, 500, 2 ** 20]
+
+
+@pytest.mark.parametrize("j", NEWTON_FREQS)
+def test_component_inverse_cdf_matches_bisection(j):
+    u = np.concatenate([[0.0, 1.0], np.random.default_rng(j).random(4000)])
+    x = invert_cosine_component_cdf(np.full(u.size, j), u)
+    assert np.all((x >= 0.0) & (x <= 1.0))
+    want = _bisection_inverse(np.full(u.size, j), u)
+    assert np.max(np.abs(x - want)) <= 1e-13
+
+
+@pytest.mark.parametrize("j", NEWTON_FREQS)
+def test_component_inverse_cdf_at_flat_points(j):
+    # F_j is flat at x = (l + 1/2)/j, which it maps to u = (l + 1/2)/j; near
+    # there a change of u by eps moves the root by about eps^(1/3), and the
+    # bisection's float predicate cannot tell F(x) from u on such a window.
+    # With g' >= 8 s^2 in the reduced variable, predicate noise delta = 8 eps
+    # bounds the window by (1.5 j delta)^(1/3) / j.
+    l = np.unique(np.linspace(0, j - 1, 50).astype(np.int64))
+    images = (l + 0.5) / j
+    u = np.clip(np.concatenate([images, images - 1e-9, images + 1e-9,
+                                images - 1e-12, images + 1e-12]), 0.0, 1.0)
+    freqs = np.full(u.size, j)
+    x = invert_cosine_component_cdf(freqs, u)
+    assert np.all((x >= 0.0) & (x <= 1.0))
+    window = np.cbrt(1.5 * j * 8 * np.finfo(float).eps) / j
+    assert np.max(np.abs(x - _bisection_inverse(freqs, u))) <= 1e-13 + window
+    if j & (j - 1) == 0:
+        # the images are binary fractions: F_j(image) = image exactly
+        np.testing.assert_array_equal(x[: images.size], images)
+
+
 def test_draw_nodes_deterministic_and_distinct():
     d = SamplingDensity(sob(), "spectral-mix", m=3)
     a = draw_nodes(d, 500, seed=42, stream=7)

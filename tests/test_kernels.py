@@ -7,8 +7,8 @@ import pytest
 from rkhslab import (DomainError, ExplicitEigenvalues, GeometricDecay,
                      PolynomialDecay, SamplingDensity, SobolevDecay,
                      SpectralKernelModel, get_basis, nodes_from_points)
-from rkhslab.kernels import (TWO_PI, _trig_series, _weighted_moments,
-                             grid_maximum)
+from rkhslab.kernels import (_NODE_BLOCK, TWO_PI, _trig_series,
+                             _weighted_moments, grid_maximum)
 
 PI_COTH_PI = math.pi / math.tanh(math.pi)
 
@@ -340,6 +340,30 @@ def test_weighted_moments_at_a_large_top():
     assert got.shape == (top + 1,)
     want = np.exp(1j * np.outer(freqs, theta)) @ v
     assert np.max(np.abs(got[freqs] - want)) <= 1e-12 * np.sum(np.abs(v))
+
+
+@pytest.mark.parametrize("n", [_NODE_BLOCK - 1, _NODE_BLOCK, _NODE_BLOCK + 1,
+                               5 * _NODE_BLOCK // 2])
+@pytest.mark.parametrize("scalar_v", [False, True])
+def test_blocked_contractions_match_direct_sums(n, scalar_v):
+    # node counts around and past one block of split tables, on the 2^-30
+    # angle grid of test_weighted_moments_at_a_large_top
+    top = 1022
+    rng = np.random.default_rng(45)
+    theta = rng.integers(0, int(TWO_PI * 2 ** 30), n) / 2.0 ** 30
+    v = 2.5 if scalar_v else rng.random(n) * 4.0 + 0.1
+    got = _weighted_moments(theta, np.asarray(v), top)
+    assert got.shape == (top + 1,)
+    want = np.exp(1j * np.outer(np.arange(top + 1), theta)) @ np.broadcast_to(
+        v, theta.shape)
+    assert (np.max(np.abs(got - want))
+            <= 1e-12 * np.sum(np.abs(np.broadcast_to(v, theta.shape))))
+
+    coef = rng.standard_normal(top + 1)
+    got = _trig_series(theta, coef)
+    assert got.shape == (n,)
+    want = np.exp(1j * np.outer(theta, np.arange(top + 1))) @ coef
+    assert np.max(np.abs(got - want)) <= 1e-12 * np.sum(np.abs(coef))
 
 
 def _grid_points(rng, count):
