@@ -4,13 +4,16 @@ The approximant lives in span{eta_1, ..., eta_{m-1}}.  Rows of the design L
 are the basis functions at the nodes divided by sqrt(density); a node with
 zero density contributes a zero row (same convention for the samples).  The
 Gram H = (1/n) L* L concentrates around the identity for a suitable density.
-L is factored once, L = QR by Householder (Golub & Van Loan 5.2), and every
-consumer reads R: its singular values are those of L, so they give the Gram
-eigenvalues sigma^2 / n, the rank and the pseudo-inverse norm, and solves
-with L* L = R* R are two triangular solves.  The fit alone factors again:
-the Householder QR of [L g] holds R and Q* g side by side (Golub 1965), so
-it stays backward stable at any condition number the rank test accepts,
-and no design keeps Q for it.
+L is factored once, L = QR, and every consumer reads the triangle R: its
+singular values are those of L, so they give the Gram eigenvalues
+sigma^2 / n, the rank and the pseudo-inverse norm, and solves with
+L* L = R* R are two triangular solves.  R comes from a row-blocked
+tall-skinny QR (Demmel, Grigori, Hoemmen & Langou 2012): Householder QR
+(Golub & Van Loan 5.2) of cache-sized row blocks, then of their stacked
+triangles; Q is never formed.  The fit alone factors again: R of [L g]
+holds R of L and, in its last column, Q* g for the implicit Q of the block
+reflectors (Golub 1965), so it stays backward stable at any condition
+number the rank test accepts, and no design keeps Q for it.
 """
 
 import csv
@@ -25,6 +28,7 @@ from .errors import RankDeficientError
 
 # columns below this singular-value ratio make the trial unusable
 RANK_RTOL = 1e-10
+_QR_BLOCK_BYTES = 1 << 20  # bytes per row block of the blocked QR
 
 
 @dataclass
@@ -85,15 +89,29 @@ class Coefficients:
     residual_norm: float
 
 
-def _householder(a):
-    """Householder QR of a by LAPACK geqrf, in place on one Fortran copy:
-    R in the upper triangle, the reflectors below it."""
-    work = np.array(a, order="F")
-    geqrf, = get_lapack_funcs(("geqrf",), (work,))
-    qr, _, _, info = geqrf(work, overwrite_a=True)
-    if info != 0:
-        raise ValueError("geqrf failed with info=%d" % info)
-    return qr
+def _triangle(a):
+    """R of a = QR for an n x k matrix a: upper triangular, min(n, k) rows.
+
+    Row-blocked tall-skinny QR.  Blocks of max(2k, _QR_BLOCK_BYTES // row
+    bytes) rows are factored by LAPACK geqrf, each in place on its own
+    Fortran copy, and the triangles of the blocks are stacked and factored
+    the same way until one block is left.  A last block shorter than k rows
+    joins the one before it, so every block has at least k rows and each
+    level has fewer rows than the one below it.  R*R = a*a, and when a is
+    one block (n < rows + k) R is that of a single geqrf of a, bit for bit.
+    """
+    n, k = a.shape
+    rows = max(2 * k, _QR_BLOCK_BYTES // (k * a.itemsize))
+    starts = range(0, max(n - k, 0) + 1, rows)
+    geqrf, = get_lapack_funcs(("geqrf",), (a,))
+    tops = []
+    for lo, hi in zip(starts, list(starts[1:]) + [n]):
+        qr, _, _, info = geqrf(np.array(a[lo:hi], order="F"),
+                               overwrite_a=True)
+        if info != 0:
+            raise ValueError("geqrf failed with info=%d" % info)
+        tops.append(np.triu(qr[:k]))
+    return tops[0] if len(tops) == 1 else _triangle(np.vstack(tops))
 
 
 def assemble_design(model, density, nodes, m):
@@ -114,7 +132,7 @@ def assemble_design(model, density, nodes, m):
                        0.0)
     matrix = model.basis.eval_block(np.arange(1, m), nodes.x)
     matrix *= weights[:, None]
-    factor = np.triu(_householder(matrix)[: m - 1])
+    factor = _triangle(matrix)
     return DesignSystem(matrix=matrix, factor=factor,
                         svals=np.linalg.svd(factor, compute_uv=False), n=n,
                         weights=weights)
@@ -130,9 +148,10 @@ def recover(model, density, nodes, m, samples, design=None):
                                                            nodes, m)
     ds._require_full_rank()
     g = np.asarray(samples) * ds.weights
-    # R of [L g] starts with R of L, and its last column starts with Q* g
+    # R of [L g] is [R h] with R*R = L*L and h = Q* g, Q the implicit
+    # product of the block reflectors
     k = ds.matrix.shape[1]
-    aug = _householder(np.column_stack([ds.matrix, g]))
+    aug = _triangle(np.column_stack([ds.matrix, g]))
     coef = solve_triangular(aug[:k, :k], aug[:k, k], lower=False)
     residual = float(np.linalg.norm(ds.matrix @ coef - g))
     return Coefficients(values=coef, residual_norm=residual)

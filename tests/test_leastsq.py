@@ -2,7 +2,9 @@ import math
 
 import numpy as np
 import pytest
+from scipy.linalg import get_lapack_funcs
 
+from rkhslab import leastsq
 from rkhslab import (PolynomialDecay, RankDeficientError, SamplingDensity,
                      SobolevDecay, SpectralKernelModel, assemble_design,
                      draw_nodes, dump_design, get_basis, gram_eig_check,
@@ -232,3 +234,89 @@ def test_recover_is_backward_stable_near_the_rank_cutoff(model_of):
     want = np.linalg.lstsq(ds.matrix, samples * ds.weights, rcond=None)[0]
     assert (np.linalg.norm(got - want)
             <= 10.0 * cond * np.finfo(float).eps * np.linalg.norm(want))
+
+
+def block_rows(k, dtype):
+    row_bytes = k * np.dtype(dtype).itemsize
+    return max(2 * k, leastsq._QR_BLOCK_BYTES // row_bytes)
+
+
+# n = blocks * rows + extra.  One block at rows - 1, rows and rows + 1 (a
+# remainder under k rows joins the block before it); two blocks, the last
+# with a 4-row remainder; k = 256 has rows = 2k, so its 4 blocks stack to
+# 1024 rows, which take two blocks more and then a third level
+@pytest.mark.parametrize("dtype", [float, complex])
+@pytest.mark.parametrize("k, blocks, extra, calls", [
+    (9, 1, -1, 1), (9, 1, 0, 1), (9, 1, 1, 1), (9, 2, 4, 3),
+    (256, 4, 3, 7)])
+def test_blocked_triangle_matches_svd(monkeypatch, dtype, k, blocks, extra,
+                                      calls):
+    rows = block_rows(k, dtype)
+    n = blocks * rows + extra
+    rng = np.random.default_rng(k + n)
+    a = rng.standard_normal((n, k)).astype(dtype)
+    if dtype is complex:
+        a += 1j * rng.standard_normal((n, k))
+    seen = []
+
+    def spy(names, arrays):
+        geqrf, = get_lapack_funcs(names, arrays)
+
+        def counted(block, **kw):
+            seen.append(block.shape[0])
+            return geqrf(block, **kw)
+        return (counted,)
+
+    monkeypatch.setattr(leastsq, "get_lapack_funcs", spy)
+    r = leastsq._triangle(a)
+    # every block holds k to rows + k - 1 rows, so none outgrows the budget
+    assert len(seen) == calls and all(k <= s < rows + k for s in seen)
+    assert r.shape == (k, k) and np.array_equal(r, np.triu(r))
+    scale = np.linalg.norm(a, 2) ** 2
+    np.testing.assert_allclose(r.conj().T @ r, a.conj().T @ a, rtol=0.0,
+                               atol=1e-13 * scale)
+    np.testing.assert_allclose(np.linalg.svd(r, compute_uv=False),
+                               np.linalg.svd(a, compute_uv=False),
+                               rtol=1e-13)
+    if n < rows + k:
+        work = np.array(a, order="F")
+        geqrf, = get_lapack_funcs(("geqrf",), (work,))
+        assert np.array_equal(r, np.triu(geqrf(work)[0][:k]))
+
+
+def clustered_nodes(density, gap):
+    # the rank-cutoff construction with every node widened into a cluster
+    # of 6400 (2.5e-16 apart, away from its pair partner), 44800 in all
+    base = np.array([0.05, 0.3, 0.3 + gap, 0.45, 0.6, 0.6 + gap, 0.8])
+    away = np.array([1, -1, 1, 1, -1, 1, 1])
+    x = base[:, None] + away[:, None] * 2.5e-16 * np.arange(6400)
+    return nodes_from_points(density, x.ravel())
+
+
+@pytest.mark.parametrize("model_of", [fourier_model, cosine_model])
+def test_blocked_recover_is_backward_stable_near_the_rank_cutoff(model_of):
+    model = model_of()
+    density = SamplingDensity(model, "plain")
+    nodes = clustered_nodes(density, 1e-10)
+    ds = assemble_design(model, density, nodes, 7)
+    # [L g] has 7 columns and spans at least three row blocks
+    assert nodes.n > 2 * block_rows(7, ds.matrix.dtype) + 7
+    cond = np.linalg.cond(ds.matrix)
+    assert ds.full_rank and 1e9 < cond < 1e10
+    samples = ds.matrix @ np.ones(6) / ds.weights
+    got = recover(model, density, nodes, 7, samples, design=ds).values
+    want = np.linalg.lstsq(ds.matrix, samples * ds.weights, rcond=None)[0]
+    assert (np.linalg.norm(got - want)
+            <= 10.0 * cond * np.finfo(float).eps * np.linalg.norm(want))
+
+
+@pytest.mark.parametrize("model_of", [fourier_model, cosine_model])
+def test_blocked_design_with_pairs_1e12_apart_is_rank_deficient(model_of):
+    model = model_of()
+    density = SamplingDensity(model, "plain")
+    nodes = clustered_nodes(density, 1e-12)
+    ds = assemble_design(model, density, nodes, 7)
+    assert nodes.n > 2 * block_rows(6, ds.matrix.dtype)
+    assert not ds.full_rank
+    with pytest.raises(RankDeficientError):
+        recover(model, density, nodes, 7, np.zeros(nodes.n), design=ds)
