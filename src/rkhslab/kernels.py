@@ -356,6 +356,7 @@ class FourierBasis:
     name = "fourier"
     domain = Domain("torus-1d")
     sup_eta_sq = 1.0
+    dtype = np.dtype(complex)  # of eval_block's values
 
     @staticmethod
     def frequency(k):
@@ -472,6 +473,7 @@ class CosineBasis:
     name = "cosine"
     domain = Domain("unit-interval")
     sup_eta_sq = 2.0
+    dtype = np.dtype(float)  # of eval_block's values
 
     def eval_block(self, ks, x):
         ks = np.atleast_1d(np.asarray(ks, dtype=np.int64))

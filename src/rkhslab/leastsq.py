@@ -10,15 +10,17 @@ sigma^2 / n, the rank and the pseudo-inverse norm, and solves with
 L* L = R* R are two triangular solves.  R comes from a row-blocked
 tall-skinny QR (Demmel, Grigori, Hoemmen & Langou 2012): Householder QR
 (Golub & Van Loan 5.2) of cache-sized row blocks, then of their stacked
-triangles; Q is never formed.  The fit alone factors again: R of [L g]
-holds R of L and, in its last column, Q* g for the implicit Q of the block
+triangles; Q is never formed.  L itself is never held whole: each row block
+is evaluated, weighted and factored in turn, and ``DesignSystem.matrix``
+builds L only on request.  The fit alone factors again: R of [L g] holds R
+of L and, in its last column, Q* g for the implicit Q of the block
 reflectors (Golub 1965), so it stays backward stable at any condition
 number the rank test accepts, and no design keeps Q for it.
 """
 
 import csv
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 from scipy.linalg import get_lapack_funcs, solve_triangular
@@ -33,13 +35,38 @@ _QR_BLOCK_BYTES = 1 << 20  # bytes per row block of the blocked QR
 
 @dataclass
 class DesignSystem:
-    """Design L, its factor R (L = QR) and R's singular values, descending."""
+    """Design L, its factor R (L = QR) and R's singular values, descending.
 
-    matrix: np.ndarray
-    factor: np.ndarray
-    svals: np.ndarray
-    n: int
+    L is kept as what makes its rows, the basis functions ``indices`` at
+    the nodes ``x`` scaled by ``weights``, and R is factored from them."""
+
+    basis: object
+    indices: np.ndarray
+    x: np.ndarray
     weights: np.ndarray
+    factor: np.ndarray = field(init=False)
+    svals: np.ndarray = field(init=False)
+
+    def __post_init__(self):
+        self.factor = _streamed_triangle(self.rows, self.n, self.indices.size,
+                                         self.basis.dtype)
+        self.svals = np.linalg.svd(self.factor, compute_uv=False)
+
+    @property
+    def n(self):
+        return self.x.size
+
+    def rows(self, lo, hi):
+        """Rows [lo, hi) of L, a new Fortran-ordered array (eval_block
+        returns a transposed gather), so geqrf factors it in place."""
+        block = self.basis.eval_block(self.indices, self.x[lo:hi])
+        block *= self.weights[lo:hi, None]
+        return block
+
+    @property
+    def matrix(self):
+        """L, built whole on each request."""
+        return self.rows(0, self.n)
 
     @property
     def gram(self):
@@ -89,33 +116,48 @@ class Coefficients:
     residual_norm: float
 
 
-def _triangle(a):
-    """R of a = QR for an n x k matrix a: upper triangular, min(n, k) rows.
+def _spans(n, k, itemsize):
+    """Row ranges [lo, hi) of the blocked QR of an n x k matrix.
 
-    Row-blocked tall-skinny QR.  Blocks of max(2k, _QR_BLOCK_BYTES // row
-    bytes) rows are factored by LAPACK geqrf, each in place on its own
-    Fortran copy, and the triangles of the blocks are stacked and factored
-    the same way until one block is left.  A last block shorter than k rows
-    joins the one before it, so every block has at least k rows and each
-    level has fewer rows than the one below it.  R*R = a*a, and when a is
-    one block (n < rows + k) R is that of a single geqrf of a, bit for bit.
-    """
-    n, k = a.shape
-    rows = max(2 * k, _QR_BLOCK_BYTES // (k * a.itemsize))
+    Blocks have max(2k, _QR_BLOCK_BYTES // row bytes) rows, and a last
+    block shorter than k rows joins the one before it, so every block has
+    at least k rows and fewer than rows + k."""
+    rows = max(2 * k, _QR_BLOCK_BYTES // (k * itemsize))
     starts = range(0, max(n - k, 0) + 1, rows)
-    geqrf, = get_lapack_funcs(("geqrf",), (a,))
+    return list(zip(starts, list(starts[1:]) + [n]))
+
+
+def _streamed_triangle(rows, n, k, dtype):
+    """R of a = QR for the n x k matrix a whose rows [lo, hi) are
+    ``rows(lo, hi)``, a new Fortran-ordered array of ``dtype``.
+
+    Row-blocked tall-skinny QR.  LAPACK geqrf factors each block of
+    ``_spans`` in place, and the triangles of the blocks are stacked and
+    factored by ``_triangle`` until one block is left; every level has
+    fewer rows than the one below it.  R*R = a*a, and when a is one block
+    (n < rows + k) R is that of a single geqrf of a, bit for bit.
+    """
+    geqrf, = get_lapack_funcs(("geqrf",), (np.empty(0, dtype),))
     tops = []
-    for lo, hi in zip(starts, list(starts[1:]) + [n]):
-        qr, _, _, info = geqrf(np.array(a[lo:hi], order="F"),
-                               overwrite_a=True)
+    for lo, hi in _spans(n, k, np.dtype(dtype).itemsize):
+        qr, _, _, info = geqrf(rows(lo, hi), overwrite_a=True)
         if info != 0:
             raise ValueError("geqrf failed with info=%d" % info)
         tops.append(np.triu(qr[:k]))
+        del qr  # free the block before the next one is made
     return tops[0] if len(tops) == 1 else _triangle(np.vstack(tops))
 
 
+def _triangle(a):
+    """R of a = QR for an n x k matrix a: upper triangular, min(n, k) rows;
+    ``_streamed_triangle`` fed Fortran copies of a's row blocks."""
+    return _streamed_triangle(lambda lo, hi: np.array(a[lo:hi], order="F"),
+                              *a.shape, a.dtype)
+
+
 def assemble_design(model, density, nodes, m):
-    """Build the weighted design and factor it.
+    """Make the weighted design system; its rows are factored as they are
+    evaluated.
 
     Never raises on rank deficiency; callers inspect ``full_rank`` and flag
     the trial."""
@@ -130,12 +172,8 @@ def assemble_design(model, density, nodes, m):
     rho = np.asarray(nodes.density_values, dtype=float)
     weights = np.where(rho > 0.0, 1.0 / np.sqrt(np.where(rho > 0.0, rho, 1.0)),
                        0.0)
-    matrix = model.basis.eval_block(np.arange(1, m), nodes.x)
-    matrix *= weights[:, None]
-    factor = _triangle(matrix)
-    return DesignSystem(matrix=matrix, factor=factor,
-                        svals=np.linalg.svd(factor, compute_uv=False), n=n,
-                        weights=weights)
+    return DesignSystem(basis=model.basis, indices=np.arange(1, m),
+                        x=nodes.x, weights=weights)
 
 
 def recover(model, density, nodes, m, samples, design=None):
@@ -148,12 +186,18 @@ def recover(model, density, nodes, m, samples, design=None):
                                                            nodes, m)
     ds._require_full_rank()
     g = np.asarray(samples) * ds.weights
+    k = ds.indices.size
     # R of [L g] is [R h] with R*R = L*L and h = Q* g, Q the implicit
     # product of the block reflectors
-    k = ds.matrix.shape[1]
-    aug = _triangle(np.column_stack([ds.matrix, g]))
+    aug = _streamed_triangle(
+        lambda lo, hi: np.array(np.column_stack([ds.rows(lo, hi), g[lo:hi]]),
+                                order="F"),
+        ds.n, k + 1, np.result_type(ds.basis.dtype, g.dtype))
     coef = solve_triangular(aug[:k, :k], aug[:k, k], lower=False)
-    residual = float(np.linalg.norm(ds.matrix @ coef - g))
+    # ||Lc - g|| from the norms of its row blocks, a second pass over L
+    residual = float(np.linalg.norm(
+        [np.linalg.norm(ds.rows(lo, hi) @ coef - g[lo:hi])
+         for lo, hi in _spans(ds.n, k, ds.basis.dtype.itemsize)]))
     return Coefficients(values=coef, residual_norm=residual)
 
 

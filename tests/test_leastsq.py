@@ -1,8 +1,9 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
-from scipy.linalg import get_lapack_funcs
+from scipy.linalg import get_lapack_funcs, solve_triangular
 
 from rkhslab import leastsq
 from rkhslab import (PolynomialDecay, RankDeficientError, SamplingDensity,
@@ -320,3 +321,68 @@ def test_blocked_design_with_pairs_1e12_apart_is_rank_deficient(model_of):
     assert not ds.full_rank
     with pytest.raises(RankDeficientError):
         recover(model, density, nodes, 7, np.zeros(nodes.n), design=ds)
+
+
+def test_design_is_never_held_whole():
+    # the 16384 x 59 complex design is 15.5 MB; its row blocks are 1 MiB
+    model = fourier_model()
+    density = SamplingDensity(model, "plain")
+    nodes = draw_nodes(density, 16384, seed=4)
+    tracemalloc.start()
+    try:
+        ds = assemble_design(model, density, nodes, 60)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert ds.full_rank
+    assert peak < 4 * 2**20
+
+
+def spied_geqrf(monkeypatch):
+    seen = []
+
+    def spy(names, arrays):
+        geqrf, = get_lapack_funcs(names, arrays)
+
+        def counted(block, **kw):
+            seen.append((block.shape[0], block.flags.f_contiguous))
+            return geqrf(block, **kw)
+        return (counted,)
+
+    monkeypatch.setattr(leastsq, "get_lapack_funcs", spy)
+    return seen
+
+
+# k = 6 columns; n = blocks * rows + extra: one block, two blocks whose
+# 3-row remainder joins the second, and four blocks, the last of 10 rows
+@pytest.mark.parametrize("model_of", [fourier_model, cosine_model])
+@pytest.mark.parametrize("blocks, extra, calls", [
+    (1, -1, 1), (2, 3, 2), (3, 10, 4)])
+def test_streamed_design_factor_matches_the_whole_design(
+        monkeypatch, model_of, blocks, extra, calls):
+    model = model_of()
+    density = SamplingDensity(model, "spectral-mix", m=7)
+    rows = block_rows(6, model.basis.dtype)
+    nodes = draw_nodes(density, blocks * rows + extra, seed=blocks)
+    seen = spied_geqrf(monkeypatch)
+    ds = assemble_design(model, density, nodes, 7)
+    # the design's row blocks, then (past one block) their stacked triangles;
+    # each block is factored in place
+    assert len(seen) == calls + (calls > 1)
+    assert all(6 <= size < rows + 6 for size, _ in seen[:calls])
+    assert all(fortran for _, fortran in seen)
+    matrix = ds.matrix
+    assert matrix.dtype == model.basis.dtype
+    assert np.array_equal(matrix, model.basis.eval_block(np.arange(1, 7),
+                                                         nodes.x)
+                          * ds.weights[:, None])
+    assert np.array_equal(ds.factor, leastsq._triangle(matrix))
+    # recover streams [L g] through the same blocks
+    samples = np.cos(5.0 * nodes.x)
+    g = samples * ds.weights
+    aug = leastsq._triangle(np.column_stack([matrix, g]))
+    got = recover(model, density, nodes, 7, samples, design=ds)
+    want = solve_triangular(aug[:6, :6], aug[:6, 6], lower=False)
+    assert np.array_equal(got.values, want)
+    assert got.residual_norm == pytest.approx(
+        np.linalg.norm(matrix @ got.values - g), rel=1e-12)
