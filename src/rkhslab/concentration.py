@@ -79,29 +79,28 @@ class SphereVectorFamily:
 
 
 class TwoPointVectorFamily:
-    """a e_1 with probability p, else b e_2; everything is closed form."""
+    """a e_1 or e_2, each with probability 1/2; everything is closed form."""
 
-    def __init__(self, a=1.0, b=1.0, p=0.5, m_bound=None):
-        self.a, self.b, self.p = float(a), float(b), float(p)
+    def __init__(self, a=1.0, m_bound=None):
+        self.a = float(a)
         self.dim = 2
-        true_m = max(abs(a), abs(b))
         # an understated m_bound is allowed on purpose: the negative-control
         # tests need a family whose declared bound is wrong
-        self.m_bound = true_m if m_bound is None else float(m_bound)
-        self.lambda_op = max(p * a * a, (1 - p) * b * b)
+        self.m_bound = max(abs(a), 1.0) if m_bound is None else float(m_bound)
+        self.lambda_op = max(0.5 * a * a, 0.5)
 
     def describe(self):
-        return {"kind": "two-point", "a": self.a, "b": self.b, "p": self.p}
+        return {"kind": "two-point", "a": self.a, "b": 1.0, "p": 0.5}
 
     def sample(self, rng, count):
-        pick = rng.random(count) < self.p
+        pick = rng.random(count) < 0.5
         out = np.zeros((count, 2))
         out[pick, 0] = self.a
-        out[~pick, 1] = self.b
+        out[~pick, 1] = 1.0
         return out
 
     def expectation(self):
-        return np.diag([self.p * self.a ** 2, (1 - self.p) * self.b ** 2])
+        return np.diag([0.5 * self.a ** 2, 0.5])
 
 
 def deviation_trial(family, n, rng):

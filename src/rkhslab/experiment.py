@@ -278,13 +278,13 @@ class ExperimentReport:
         return trials_path, summary_path
 
     def summary_payload(self):
-        return {
+        return _json_safe({
             "kind": self.kind,
             "config": self.config,
             "config_hash": self.config_hash,
             "version": __version__,
             "summary": self.summary,
-        }
+        })
 
     @property
     def passed(self):
@@ -307,19 +307,17 @@ def write_rows_csv(path, header, rows):
 
 
 def _json_safe(obj):
-    """Bound reports: nested dicts of plain values, and the rule, written
-    as its ``describe()``."""
+    """Nested dicts and lists of plain values for strict JSON: a rule as its
+    ``describe()``, a NaN (a wholly flagged sweep point's median) as null."""
     if isinstance(obj, dict):
         return {k: _json_safe(v) for k, v in obj.items()}
+    if isinstance(obj, list):
+        return [_json_safe(v) for v in obj]
     if hasattr(obj, "describe"):
         return obj.describe()
+    if isinstance(obj, float) and math.isnan(obj):
+        return None
     return obj
-
-
-def _bound_payload(rep):
-    return _json_safe({"name": rep.name, "value": rep.value,
-                       "inputs": rep.inputs, "constants": rep.constants,
-                       "notes": rep.notes})
 
 
 # ---------------------------------------------------------------------------
@@ -337,6 +335,25 @@ def _report(cfg, header, records, summary, extra_tables=None):
                             summary=summary, extra_tables=tables)
 
 
+def _trials(cfg, density, n, trial, flagged=None, g=0):
+    """The one trial loop: ``trial(nodes)`` gives the kind's fields of trial
+    t, whose nodes come from stream g * _SWEEP_STREAM_STRIDE + t at sweep grid
+    point g (g = 0 for the other kinds).  A RankDeficientError or
+    DegenerateDensityError flags the trial with the kind's ``flagged``
+    record, which exceeds every bound, or re-raises if the kind has none."""
+    recs = []
+    for t in range(cfg.trials):
+        stream = g * _SWEEP_STREAM_STRIDE + t
+        try:
+            rec, flag = trial(draw_nodes(density, n, cfg.seed, stream)), 0
+        except (RankDeficientError, DegenerateDensityError):
+            if flagged is None:
+                raise
+            rec, flag = flagged, 1
+        recs.append(dict(rec, trial=t, stream=stream, n=n, flagged=flag))
+    return recs
+
+
 _RECOVER_HEADER = [
     "trial", "stream", "n", "m", "flagged", "lambda_min", "lambda_max",
     "pinv_norm", "wce_sq", "wce_residual", "wce_upper_sq", "bound_value",
@@ -345,51 +362,52 @@ _RECOVER_HEADER = [
 ]
 
 
-def _recover_trial(model, density, n, m, trunc, seed, trial, stream,
-                   bound_val, atom_bound_val):
-    rec = {"trial": trial, "stream": stream, "n": n, "m": m}
-    try:
-        nodes = draw_nodes(density, n, seed, stream=stream)
+def _recovery_point(cfg, model, n, names, g=0):
+    """(m, {name: bound report}, trial records) of recovery at n samples,
+    checked against recovery-tail-sum and recovery-atom, which ``names``
+    holds; recover is the one point g = 0 of a sweep."""
+    m = resolve_m(cfg, model, n)
+    density = SamplingDensity(model, cfg.density, m=m)
+    # only recover's summary echoes m0_sq, whose sup_inverse is a grid scan
+    inputs = model_bound_inputs(model, n, cfg.r, m, density=density
+                                if cfg.kind == "recover" else None)
+    reps = {name: bound(name, **inputs) for name in names}
+    bound_val = reps["recovery-tail-sum"].value
+    atom_val = reps["recovery-atom"].value
+    flagged = dict(dict.fromkeys(_RECOVER_HEADER, 0.0), m=m,
+                   bound_value=bound_val, exceeded=1, nullspace_ok=-1,
+                   atom_bound_value=atom_val, atom_exceeded=1)
+
+    def trial(nodes):
         ds = assemble_design(model, density, nodes, m)
-        wce = exact_wce_recovery(model, density, nodes, m, trunc=trunc,
+        wce = exact_wce_recovery(model, density, nodes, m, trunc=cfg.trunc,
                                  design=ds)
-    except (RankDeficientError, DegenerateDensityError):
-        # a flagged trial counts as exceeding both bounds
-        return dict(dict.fromkeys(_RECOVER_HEADER, 0.0), **rec, flagged=1,
-                    bound_value=bound_val, exceeded=1, nullspace_ok=-1,
-                    atom_bound_value=atom_bound_val, atom_exceeded=1)
-    rec.update(flagged=0, lambda_min=ds.lambda_min, lambda_max=ds.lambda_max,
-               pinv_norm=wce.pinv_norm, wce_sq=wce.value_sq,
-               wce_residual=wce.residual, wce_upper_sq=wce.upper_sq,
-               bound_value=bound_val, exceeded=int(wce.upper_sq > bound_val))
-    if model.atom_mass > 0.0:
-        null = wce_nullspace_component(model.atom_mass, nodes, ds)
-        rec.update(nullspace=null.component, nullspace_envelope=null.envelope,
-                   nullspace_ok=-1 if null.within_envelope is None
-                   else int(null.within_envelope),
-                   triangle_upper_sq=(math.sqrt(wce.upper_sq)
-                                      + math.sqrt(null.component)) ** 2)
-    else:
-        rec.update(nullspace=0.0, nullspace_envelope=0.0, nullspace_ok=-1,
+        # without an atom, the flagged record's nullspace fields stand
+        rec = dict(flagged, lambda_min=ds.lambda_min, lambda_max=ds.lambda_max,
+                   pinv_norm=wce.pinv_norm, wce_sq=wce.value_sq,
+                   wce_residual=wce.residual, wce_upper_sq=wce.upper_sq,
+                   exceeded=int(wce.upper_sq > bound_val),
                    triangle_upper_sq=wce.upper_sq)
-    rec.update(atom_bound_value=atom_bound_val,
-               atom_exceeded=int(rec["triangle_upper_sq"] > atom_bound_val))
-    return rec
+        if model.atom_mass > 0.0:
+            null = wce_nullspace_component(model.atom_mass, nodes, ds)
+            rec.update(nullspace=null.component,
+                       nullspace_envelope=null.envelope,
+                       nullspace_ok=-1 if null.within_envelope is None
+                       else int(null.within_envelope),
+                       triangle_upper_sq=(math.sqrt(wce.upper_sq)
+                                          + math.sqrt(null.component)) ** 2)
+        rec["atom_exceeded"] = int(rec["triangle_upper_sq"] > atom_val)
+        return rec
+
+    return m, reps, _trials(cfg, density, n, trial, flagged, g)
 
 
 def run_recover(cfg):
     model = build_model(cfg)
     n = cfg.n
-    m = resolve_m(cfg, model, n)
-    density = SamplingDensity(model, cfg.density, m=m)
-    inputs = model_bound_inputs(model, n, cfg.r, m, density=density)
-    rep_sum = bound("recovery-tail-sum", **inputs)
-    rep_sup = bound("recovery-tail-sup", **inputs)
-    rep_half = bound("recovery-half-tail", **inputs)
-    rep_atom = bound("recovery-atom", **inputs)
-    recs = [_recover_trial(model, density, n, m, cfg.trunc, cfg.seed, i, i,
-                           rep_sum.value, rep_atom.value)
-            for i in range(cfg.trials)]
+    m, reps, recs = _recovery_point(cfg, model, n, (
+        "recovery-tail-sum", "recovery-tail-sup", "recovery-half-tail",
+        "recovery-atom"))
     usable = [r for r in recs if not r["flagged"]]
     exceed = sum(r["exceeded"] for r in recs)
     budget = fail_prob(n, cfg.r, FAIL_MULT)
@@ -404,8 +422,7 @@ def run_recover(cfg):
             r["wce_sq"] for r in usable) if usable else None,
         "max_wce_upper_sq": max(
             (r["wce_upper_sq"] for r in usable), default=None),
-        "bounds": {rep.name: _bound_payload(rep)
-                   for rep in (rep_sum, rep_sup, rep_half, rep_atom)},
+        "bounds": {name: vars(rep) for name, rep in reps.items()},
         "pass": bool(ok),
     }
     if model.atom_mass > 0.0:
@@ -429,22 +446,17 @@ def run_discretize(cfg):
     model = _separable_model(cfg, "discretization treats")
     n = cfg.n
     inputs = model_bound_inputs(model, n, cfg.r, 2)
-    if cfg.weighted:
-        density = SamplingDensity(model, "kernel-diag")
-        rep_main = bound("discretize-trace", **inputs)
-        rep_final = bound("discretize-trace-final", **inputs)
-    else:
-        density = SamplingDensity(model, "plain")
-        rep_main = bound("discretize-sup", **inputs)
-        rep_final = bound("discretize-sup-final", **inputs)
+    kind, name = (("kernel-diag", "discretize-trace") if cfg.weighted
+                  else ("plain", "discretize-sup"))
+    density = SamplingDensity(model, kind)
+    rep_main, rep_final = (bound(name + end, **inputs)
+                           for end in ("", "-final"))
 
-    def trial(i):
-        nodes = draw_nodes(density, n, cfg.seed, stream=i)
+    def trial(nodes):
         weights = 1.0 / nodes.density_values if cfg.weighted else None
         val = exact_wce_discretization(model, nodes, weights=weights,
                                        trunc=cfg.trunc)
-        return {"trial": i, "stream": i, "n": n, "flagged": 0,
-                "weighted": int(cfg.weighted), "value": val.value,
+        return {"weighted": int(cfg.weighted), "value": val.value,
                 "residual": val.residual, "upper": val.upper,
                 "bound_value": rep_main.value,
                 "exceeded": int(val.upper > rep_main.value),
@@ -452,7 +464,7 @@ def run_discretize(cfg):
                 "final_exceeded": int(val.upper > rep_final.value),
                 "trunc_dim": val.trunc_dim}
 
-    recs = [trial(i) for i in range(cfg.trials)]
+    recs = _trials(cfg, density, n, trial)
     exceed = sum(r["exceeded"] for r in recs)
     budget = fail_prob(n, cfg.r, 2.0)
     rate, ok = within_budget(exceed, cfg.trials, budget)
@@ -464,8 +476,7 @@ def run_discretize(cfg):
         "slack_3se": three_se_slack(rate, cfg.trials),
         "median_value": statistics.median(r["value"] for r in recs),
         "max_upper": max(r["upper"] for r in recs),
-        "bounds": {rep.name: _bound_payload(rep)
-                   for rep in (rep_main, rep_final)},
+        "bounds": {rep.name: vars(rep) for rep in (rep_main, rep_final)},
         "pass": bool(ok),
     }
     return _report(cfg, _DISCRETIZE_HEADER, recs, summary)
@@ -483,17 +494,15 @@ def run_eigcheck(cfg):
     m = resolve_m(cfg, model, n)
     density = SamplingDensity(model, cfg.density, m=m)
 
-    def trial(i):
-        nodes = draw_nodes(density, n, cfg.seed, stream=i)
+    def trial(nodes):
         chk = gram_eig_check(assemble_design(model, density, nodes, m),
                              r=cfg.r)
-        return {"trial": i, "stream": i, "n": n, "m": m, "flagged": 0,
-                "lambda_min": chk["lambda_min"],
+        return {"m": m, "lambda_min": chk["lambda_min"],
                 "lambda_max": chk["lambda_max"],
                 "pinv_norm": chk["pinv_norm"], "eig_ok": int(chk["eig_ok"]),
                 "norm_ok": int(chk["norm_ok"])}
 
-    recs = [trial(i) for i in range(cfg.trials)]
+    recs = _trials(cfg, density, n, trial)
     eig_budget = fail_prob(n, cfg.r)
     norm_budget = fail_prob(n, cfg.r, 2.0)
     eig_rate, eig_ok = within_budget(sum(1 for r in recs if not r["eig_ok"]),
@@ -526,8 +535,7 @@ def run_concentration(cfg):
     exp = TailExperiment(family=family, n=n, t_grid=grid, trials=cfg.trials,
                          seed=cfg.seed)
     devs = exp.run()
-    recs = [{"trial": i, "deviation": float(devs[i])}
-            for i in range(cfg.trials)]
+    recs = [{"trial": i, "deviation": float(d)} for i, d in enumerate(devs)]
     curve = [dict(zip(_CURVE_HEADER, (t, rate, lo, hi, env, int(env >= 1.0))))
              for t, rate, lo, hi, env in exp.curve()]
     live = [c for c in curve if not c["vacuous"]]
@@ -558,9 +566,13 @@ def run_concentration(cfg):
 
 _SWEEP_HEADER = ["grid_n", "trial", "stream", "m", "flagged", "wce_sq",
                  "wce_upper_sq"]
+# table column -> the named bound it holds at each grid point
+_SWEEP_BOUNDS = {"bound_tail_sum": "recovery-tail-sum",
+                 "bound_atom": "recovery-atom",
+                 "baseline_scan": "baseline-scan",
+                 "baseline_p2": "baseline-p2"}
 _SWEEP_TABLE_HEADER = ["n", "m", "median_wce_sq", "median_upper_sq",
-                      "bound_tail_sum", "bound_atom", "baseline_scan",
-                      "baseline_p2"]
+                      *_SWEEP_BOUNDS]
 
 
 def _error_scale_slope(ns, values):
@@ -573,33 +585,21 @@ def run_sweep(cfg):
     model = build_model(cfg)
     recs = []
     table = []
-    for gi, n in enumerate(cfg.n_grid):
-        m = resolve_m(cfg, model, n)
-        density = SamplingDensity(model, cfg.density, m=m)
-        inputs = model_bound_inputs(model, n, cfg.r, m)
-        rep_sum = bound("recovery-tail-sum", **inputs)
-        rep_atom = bound("recovery-atom", **inputs)
-        rep_scan = bound("baseline-scan", **inputs)
-        rep_p2 = bound("baseline-p2", **inputs)
-        grid_recs = [
-            dict(_recover_trial(model, density, n, m, cfg.trunc, cfg.seed, i,
-                                gi * _SWEEP_STREAM_STRIDE + i, rep_sum.value,
-                                rep_atom.value), grid_n=n)
-            for i in range(cfg.trials)]
-        recs += grid_recs
-        usable = [r for r in grid_recs if not r["flagged"]]
+    for g, n in enumerate(cfg.n_grid):
+        m, reps, point = _recovery_point(cfg, model, n,
+                                         _SWEEP_BOUNDS.values(), g)
+        recs += [dict(r, grid_n=n) for r in point]
+        usable = [r for r in point if not r["flagged"]]
         table.append({
             "n": n, "m": m,
             "median_wce_sq": statistics.median(
                 r["wce_sq"] for r in usable) if usable else math.nan,
             "median_upper_sq": statistics.median(
                 r["wce_upper_sq"] for r in usable) if usable else math.nan,
-            "bound_tail_sum": rep_sum.value, "bound_atom": rep_atom.value,
-            "baseline_scan": rep_scan.value, "baseline_p2": rep_p2.value})
+            **{col: reps[name].value for col, name in _SWEEP_BOUNDS.items()}})
     ns = [row["n"] for row in table]
     slopes = {key: _error_scale_slope(ns, [row[key] for row in table])
-              for key in ("bound_tail_sum", "bound_atom", "baseline_scan",
-                          "baseline_p2")}
+              for key in _SWEEP_BOUNDS}
     slopes["median_upper"] = _error_scale_slope(
         ns, [row["median_upper_sq"] for row in table])
     ok = (-1.2 <= slopes["bound_tail_sum"] <= -0.45

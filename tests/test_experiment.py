@@ -465,3 +465,97 @@ CONFIG_ERRORS = [
 def test_config_errors_start_with_their_key(key, text):
     with pytest.raises(ConfigError, match="^" + key):
         ex.run(build(text))
+
+
+_SWEEP_SMALL = """
+kind = sweep
+basis = fourier
+decay = poly
+s = 1.0
+density = spectral-mix
+n_grid = 128,256,512,1024
+r = 2.0
+trials = 2
+seed = 6
+trunc = 128
+"""
+
+
+def _strict_json(text):
+    def reject(token):
+        raise ValueError("not strict JSON: %s" % token)
+    return json.loads(text, parse_constant=reject)
+
+
+def test_wholly_flagged_sweep_point_writes_strict_json(monkeypatch,
+                                                      tmp_path):
+    # one trial per grid point: points 0 and 2 flag entirely
+    _flag_alternate_calls(monkeypatch)
+    sweep = ex.run(build(_SWEEP_SMALL.replace("trials = 2", "trials = 1")))
+    sweep.write(tmp_path)
+    summary = _strict_json((tmp_path / "summary.json").read_text())["summary"]
+    for gi, row in enumerate(summary["table"]):
+        for key in ("median_wce_sq", "median_upper_sq"):
+            assert (row[key] is None) == (gi % 2 == 0), (gi, key)
+    assert summary["slopes_error_scale"]["median_upper"] is None
+    # table.csv keeps the float nan
+    assert "nan" in (tmp_path / "table.csv").read_text()
+
+
+def _columns(rep, *names):
+    return [[row[rep.header.index(k)] for k in names] for row in rep.rows]
+
+
+def test_trial_streams_follow_one_rule():
+    # a sweep's trial t at grid point g reads stream g * 1e6 + t
+    sweep = ex.run(build(_SWEEP_SMALL))
+    assert _columns(sweep, "stream") == [
+        [g * 1_000_000 + t] for g in range(4) for t in range(2)]
+    # every other kind's trial t reads stream t
+    for text in [RECOVER_CFG,
+                 "kind = discretize\nbasis = cosine\ndecay = sobolev\n"
+                 "s = 1.0\nn = 60\nr = 2.0\ntrials = 3\nseed = 2\n"
+                 "trunc = 64\n",
+                 "kind = eig-check\nbasis = cosine\ndecay = sobolev\n"
+                 "s = 1.0\ndensity = plain\nn = 200\nr = 2.0\n"
+                 "m_rule = fixed\nm = 5\ntrials = 3\nseed = 8\n"]:
+        rep = ex.run(build(text))
+        assert _columns(rep, "trial", "stream") == [
+            [t, t] for t in range(len(rep.rows))]
+    # concentration has no stream column: its trial t is stream t too
+    cfg = build("kind = concentration\nfamily = sphere\ndim = 4\nn = 50\n"
+                "trials = 3\nseed = 4\nt_points = 2\n")
+    family = rkhslab.SphereVectorFamily(4)
+    assert [row[1] for row in ex.run(cfg).rows] == [
+        rkhslab.deviation_trial(family, 50, rkhslab.trial_rng(4, t))
+        for t in range(3)]
+
+
+def test_recover_is_sweep_grid_point_zero():
+    shared = ("trial", "stream", "m", "flagged", "wce_sq", "wce_upper_sq")
+    sweep = ex.run(build(_SWEEP_SMALL))
+    point = [row for row, n in zip(_columns(sweep, *shared),
+                                   _columns(sweep, "grid_n")) if n == [128]]
+    recover = ex.run(build(
+        _SWEEP_SMALL.replace("kind = sweep", "kind = recover")
+        .replace("n_grid = 128,256,512,1024", "n = 128")))
+    assert len(point) == 2
+    assert _columns(recover, *shared) == point
+
+
+@pytest.mark.parametrize("kind,target,text", [
+    ("discretize", "exact_wce_discretization",
+     "basis = cosine\ndecay = sobolev\ns = 1.0\nn = 60\nr = 2.0\n"
+     "trials = 2\ntrunc = 64\n"),
+    ("eig-check", "gram_eig_check",
+     "basis = cosine\ndecay = sobolev\ns = 1.0\ndensity = plain\nn = 200\n"
+     "r = 2.0\nm_rule = fixed\nm = 5\ntrials = 2\n"),
+])
+def test_kinds_without_a_flagged_record_reraise(monkeypatch, kind, target,
+                                                 text):
+    def rank_deficient(*args, **kwargs):
+        raise RankDeficientError("forced")
+
+    monkeypatch.setattr(ex, target, rank_deficient)
+    with pytest.raises(RankDeficientError):
+        ex.run(build("kind = %s\n" % kind + text))
