@@ -1,10 +1,12 @@
 """Command line front end.
 
 Exit codes: 0 means the run's acceptance predicates held, 1 means a
-predicate failed, 2 means the config was invalid.
+predicate failed, 2 means the config was invalid or the output directory
+cannot be created.
 """
 
 import argparse
+import os
 import sys
 
 from . import experiment
@@ -31,12 +33,14 @@ def main(argv=None):
         raw["kind"] = args.command
         cfg = experiment.build_config(raw, seed=args.seed, out=args.out,
                                       threads=args.threads)
+        # an unusable --out fails here, before the run
+        out_dir = cfg.out or "out"
+        os.makedirs(out_dir, exist_ok=True)
         report = experiment.run(cfg)
     except (ConfigError, OSError) as exc:
         print("config error: %s" % exc, file=sys.stderr)
         return 2
 
-    out_dir = cfg.out or "out"
     trials_path, summary_path = report.write(out_dir)
     print("wrote %s and %s" % (trials_path, summary_path))
     print("config hash %s" % report.config_hash)

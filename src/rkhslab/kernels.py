@@ -34,7 +34,6 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
-from scipy.special import beta, betainc, zeta
 
 from .errors import DomainError, TruncationError
 
@@ -130,7 +129,9 @@ class PolynomialDecay(EigenvalueRule):
         return k ** (-2.0 * self.s)
 
     def tail(self, m):
-        # Hurwitz zeta gives the exact tail
+        # Hurwitz zeta gives the exact tail; imported here, so that only runs
+        # that need scipy.special load it
+        from scipy.special import zeta
         return float(zeta(2.0 * self.s, m))
 
     def describe(self):
@@ -171,6 +172,7 @@ class SobolevDecay(EigenvalueRule):
         if s == 1.0:
             integral = math.atan2(1.0, t)  # arctan(1/t), exact
         else:
+            from scipy.special import beta, betainc
             integral = 0.5 * float(beta(s - 0.5, 0.5)
                                    * betainc(s - 0.5, 0.5, 1.0 / (1.0 + t * t)))
         f_t = (1.0 + t * t) ** (-s)

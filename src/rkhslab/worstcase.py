@@ -25,7 +25,6 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.sparse.linalg import LinearOperator, eigsh
 
 from .concentration import (CHERNOFF_DENOM, CHERNOFF_MULT,
                             DEVIATION_CONSTANTS, KAPPA_SQ, deviation_level)
@@ -267,6 +266,8 @@ def exact_wce_discretization(model, nodes, weights=None, trunc=None):
                                                    for e in np.eye(N)]))
         value = float(np.max(np.abs(eigs)))
     else:
+        # imported here, so that only discretizations load scipy.sparse
+        from scipy.sparse.linalg import LinearOperator, eigsh
         v0 = np.random.Generator(np.random.Philox(_EIGSH_SEED)).standard_normal(N)
         vals = eigsh(LinearOperator((N, N), matvec=apply), k=1, which="LM",
                      v0=v0, tol=0, return_eigenvectors=False)

@@ -298,6 +298,20 @@ def test_cli_exit_codes(tmp_path):
     assert missing.returncode == 2, missing.stderr
 
 
+def test_cli_unusable_out_exits_2_before_the_run(tmp_path):
+    # exit 1 is a failed predicate; an --out under a regular file is an
+    # error in the invocation and stops before any trial runs
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(RECOVER_CFG.replace("kind = recover\n", ""))
+    (tmp_path / "afile").write_text("")
+    out = run_cli(["recover", "--config", str(cfg), "--out",
+                   str(tmp_path / "afile" / "sub")], tmp_path)
+    assert out.returncode == 2, out.stderr
+    assert out.stdout == ""
+    lines = out.stderr.splitlines()
+    assert len(lines) == 1 and "afile" in lines[0], out.stderr
+
+
 def test_cli_seed_override_changes_hash(tmp_path):
     cfg = tmp_path / "run.cfg"
     cfg.write_text(RECOVER_CFG.replace("kind = recover\n", ""))

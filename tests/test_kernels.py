@@ -553,6 +553,88 @@ def test_import_leaves_scipy_integrate_unloaded():
     assert out.stdout.strip() == "[]"
 
 
+def _fresh_python(code):
+    """stdout lines of ``code`` run in a new interpreter on this package."""
+    import os
+    import subprocess
+    import sys
+
+    import rkhslab
+    src = os.path.dirname(os.path.dirname(os.path.abspath(rkhslab.__file__)))
+    out = subprocess.run([sys.executable, "-c", code],
+                         env=dict(os.environ, PYTHONPATH=src),
+                         capture_output=True, text=True)
+    assert out.returncode == 0, out.stderr
+    return out.stdout.splitlines()
+
+
+_SCIPY_LOADS = """
+import sys
+import rkhslab
+from rkhslab import experiment as ex
+
+def loaded():
+    names = ("scipy.special", "scipy.sparse", "scipy.sparse.linalg")
+    print(sorted(p for p in names
+                 if any(m == p or m.startswith(p + ".") for m in sys.modules)))
+
+def run(text):
+    ex.run(ex.build_config(ex.parse_config(
+        text + "basis = cosine\\ndecay = sobolev\\ns = 1.0\\nr = 2.0\\n"
+        "trials = 2\\n")))
+
+loaded()
+run("kind = eig-check\\ndensity = plain\\nn = 200\\nm_rule = max-cond-7\\n")
+for family in ("kernel", "two-point"):
+    run("kind = concentration\\nfamily = %s\\ndim = 8\\nn = 100\\n"
+        "t_points = 3\\n" % family)
+loaded()
+run("kind = discretize\\nn = 60\\ntrunc = 64\\n")
+loaded()
+rkhslab.PolynomialDecay(1.0).tail(5)
+loaded()
+"""
+
+
+def test_scipy_special_and_sparse_load_only_where_called():
+    # Sobolev s = 1 eig-check and concentration runs never load either;
+    # the discretization's Lanczos solve loads scipy.sparse.linalg, and a
+    # polynomial or Sobolev s != 1 tail loads scipy.special
+    assert _fresh_python(_SCIPY_LOADS) == [
+        "[]", "[]", "['scipy.sparse', 'scipy.sparse.linalg']",
+        "['scipy.sparse', 'scipy.sparse.linalg', 'scipy.special']"]
+    assert _fresh_python(
+        "import sys, rkhslab; rkhslab.SobolevDecay(1.5).tail(5); "
+        "print('scipy.special' in sys.modules)") == ["True"]
+
+
+_FIRST_CALLS = """
+import numpy as np
+from rkhslab import (PolynomialDecay, SobolevDecay, SpectralKernelModel,
+                     exact_wce_discretization, get_basis)
+
+for s, m in [(1.0, 5), (0.75, 2), (2.5, 4097)]:
+    print(repr(PolynomialDecay(s).tail(m)))
+for m in [1, 5, 10 ** 5]:
+    print(repr(SobolevDecay(1.5).tail(m)))
+model = SpectralKernelModel(get_basis("cosine"), SobolevDecay(1.0))
+x = np.random.default_rng(3).random(200)
+print(repr(exact_wce_discretization(model, x, trunc=64)))
+"""
+
+
+def test_first_lazy_calls_return_the_in_process_values():
+    # the first call in a new interpreter imports scipy inside the call;
+    # its value is the same bits as the call made here
+    import contextlib
+    import io
+
+    buf = io.StringIO()
+    with contextlib.redirect_stdout(buf):
+        exec(_FIRST_CALLS, {})
+    assert _fresh_python(_FIRST_CALLS) == buf.getvalue().splitlines()
+
+
 @pytest.mark.parametrize("name", ["fourier", "cosine"])
 @pytest.mark.parametrize("beyond", [1, 2, 3])
 def test_explicit_model_beyond_its_rank_is_exactly_zero(name, beyond):
