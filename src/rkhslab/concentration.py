@@ -57,6 +57,23 @@ class KernelVectorFamily:
     def expectation(self):
         return np.diag(self.lambda_diag.astype(float))
 
+    def deviation(self, rng, n):
+        """The deviation at the nodes ``sample`` would draw, from the exact
+        moment Gram sum_i conj(eta_j(x_i)) eta_k(x_i); no n x dim block.
+
+        Each vector's squared norm is the finite sum of lambda_k |eta_k(x)|^2
+        over k <= dim, read per node from the basis.
+        """
+        x = rng.random(n)
+        basis = self.model.basis
+        _check_norms(basis.weighted_head_at(self.model.rule, self.dim, x),
+                     self.m_bound)
+        ks = np.arange(1, self.dim + 1)
+        E = basis.weighted_gram(ks, ks, x, 1.0)
+        E *= np.outer(self.sig, self.sig) / n
+        E -= self.expectation()
+        return _spectral_norm(E)
+
 
 class SphereVectorFamily:
     """Uniform on the sphere of radius M in R^dim; Lambda = (M^2/dim) I."""
@@ -76,6 +93,13 @@ class SphereVectorFamily:
 
     def expectation(self):
         return np.eye(self.dim) * (self.m_bound ** 2 / self.dim)
+
+    def deviation(self, rng, n):
+        """The deviation from the explicit n x dim block of draws."""
+        Y = self.sample(rng, n)
+        _check_norms(np.einsum("ij,ij->i", Y, Y), self.m_bound)
+        E = Y.T @ Y / n - self.expectation()
+        return _spectral_norm(0.5 * (E + E.T))
 
 
 class TwoPointVectorFamily:
@@ -102,23 +126,43 @@ class TwoPointVectorFamily:
     def expectation(self):
         return np.diag([0.5 * self.a ** 2, 0.5])
 
+    def deviation(self, rng, n):
+        """The deviation of the picks ``sample`` would draw, by counting.
 
-def deviation_trial(family, n, rng):
-    """One realization of ||(1/n) sum y y* - Lambda||.
+        With k draws of a e_1, the deviation matrix is the diagonal
+        diag(a^2 k/n - a^2/2, (n - k)/n - 1/2); only the vectors actually
+        drawn have their norms checked.
+        """
+        k = int(np.count_nonzero(rng.random(n) < 0.5))
+        a_sq = self.a * self.a
+        drawn = np.array([k > 0, k < n])
+        _check_norms(np.array([a_sq, 1.0])[drawn], self.m_bound)
+        return max(abs(a_sq * k / n - 0.5 * a_sq), abs((n - k) / n - 0.5))
 
-    A sampled vector exceeding the family's stated norm bound is a
-    generation bug and raises immediately.
-    """
-    Y = family.sample(rng, int(n))
-    norms_sq = np.einsum("ij,ij->i", Y.conj(), Y).real
-    if np.any(norms_sq > (family.m_bound ** 2) * _NORM_SLACK ** 2):
+
+def _check_norms(norms_sq, m_bound):
+    """Raise if a squared vector norm exceeds the stated bound; such a
+    vector is a generation bug."""
+    if np.any(norms_sq > (m_bound ** 2) * _NORM_SLACK ** 2):
         raise ValueError(
             "sampled vector norm %.6g exceeds the stated bound %.6g"
-            % (math.sqrt(float(norms_sq.max())), family.m_bound))
-    E = Y.conj().T @ Y / n - family.expectation()
-    E = 0.5 * (E + E.conj().T)
+            % (math.sqrt(float(norms_sq.max())), m_bound))
+
+
+def _spectral_norm(E):
+    """||E|| of a Hermitian matrix from its extreme eigenvalues."""
     eigs = np.linalg.eigvalsh(E)
     return float(max(abs(eigs[0]), abs(eigs[-1])))
+
+
+def deviation_trial(family, n, rng):
+    """One realization of ||(1/n) sum y y* - Lambda||, by the family's own
+    exact Gram.
+
+    A vector exceeding the family's stated norm bound is a generation bug
+    and raises immediately, before any Gram is formed.
+    """
+    return family.deviation(rng, int(n))
 
 
 def fail_prob(n, r, mult=1.0):

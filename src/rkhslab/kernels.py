@@ -31,7 +31,7 @@ directly.
 
 import math
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import cached_property, lru_cache
 
 import numpy as np
 
@@ -436,6 +436,11 @@ class FourierBasis:
     def weighted_tail_max(self, rule, m):
         return rule.tail(m)
 
+    def weighted_head_at(self, rule, dim, x):
+        """sum_{k <= dim} lambda_k |eta_k(x)|^2, the same at every x."""
+        head = float(np.sum(rule.values(np.arange(1, dim + 1))))
+        return np.full(np.shape(x), head)
+
     def weighted_tail_cdf(self, rule, m, x):
         """sum_{k >= m} lambda_k F_k(x); every |eta_k|^2 is uniform."""
         return rule.tail(m) * np.asarray(x, dtype=float)
@@ -606,6 +611,13 @@ class CosineBasis:
         osc, res = self._osc_tail(rule, m, TWO_PI * x)
         return rule.tail(m) + osc, res
 
+    def weighted_head_at(self, rule, dim, x):
+        """sum_{k <= dim} lambda_k |eta_k(x)|^2: the eigenvalue sum plus
+        one (dim - 1)-term cosine series."""
+        x = self.domain.canonical(np.atleast_1d(x))
+        head = float(np.sum(rule.values(np.arange(1, dim + 1))))
+        return head + _freq_series(rule, 2, dim, TWO_PI * x).real
+
     def weighted_tail_max(self, rule, m):
         if m <= 1:
             return rule.value(1) + 2.0 * rule.tail(2)
@@ -635,7 +647,9 @@ class CosineBasis:
 
 def _freq_series(rule, lo, hi, theta, sine=False):
     """sum_{k=lo}^{hi} lambda_k exp(i f theta) at each theta, f = k - 1 >= 1;
-    with ``sine`` each term is divided by f."""
+    with ``sine`` each term is divided by f.  An empty range gives zeros."""
+    if hi < lo:
+        return np.zeros(np.shape(theta), dtype=complex)
     f = np.arange(lo - 1, hi)
     coef = np.zeros(hi)
     coef[lo - 1:] = rule.values(f + 1)
@@ -704,9 +718,10 @@ class SpectralKernelModel:
 
     Immutable after construction.  ``eps_trunc`` is the absolute truncation
     tolerance (``_EPS_TRUNC_REL`` times the eigenvalue trace);
-    ``trunc_index`` is the smallest N with tail_sum(N+1) <= eps_trunc, kept as
-    a number (it may be astronomically large for slow decay; operations that
-    materialize arrays use their own caps and report residuals instead).
+    ``trunc_index`` is the smallest N with tail_sum(N+1) <= eps_trunc,
+    searched on first read and kept as a number (it may be astronomically
+    large for slow decay; operations that materialize arrays use their own
+    caps and report residuals instead).
     """
 
     def __init__(self, basis, rule, atom_mass=0.0):
@@ -718,7 +733,12 @@ class SpectralKernelModel:
         self.rule = rule
         self.atom_mass = float(atom_mass)
         self.eps_trunc = _EPS_TRUNC_REL * rule.total()
-        self.trunc_index = rule.index_for_tail(self.eps_trunc)
+
+    @cached_property
+    def trunc_index(self):
+        # only the automatic truncation reads it, and for a Sobolev rule the
+        # search costs dozens of partial sums
+        return self.rule.index_for_tail(self.eps_trunc)
 
     # -- scalar spectral data ------------------------------------------------
 

@@ -142,3 +142,72 @@ def test_envelope_monotone_in_t_and_n():
     for t1, t2 in ((0.3, 0.5), (0.5, 0.9)):
         assert tail_envelope(5000, t2, 1.0) <= tail_envelope(5000, t1, 1.0)
     assert tail_envelope(10_000, 0.5, 1.0) <= tail_envelope(2000, 0.5, 1.0)
+
+
+def explicit_deviation(fam, n, rng):
+    """||(1/n) Y*Y - Lambda|| from the explicit n x dim block of draws."""
+    Y = fam.sample(rng, n)
+    E = Y.conj().T @ Y / n - fam.expectation()
+    eigs = np.linalg.eigvalsh(0.5 * (E + E.conj().T))
+    return float(max(abs(eigs[0]), abs(eigs[-1])))
+
+
+@pytest.mark.parametrize("basis", ["cosine", "fourier"])
+@pytest.mark.parametrize("dim", [1, 2, 64, 257])
+def test_kernel_deviation_from_moment_gram_matches_explicit_block(basis,
+                                                                  dim):
+    model = SpectralKernelModel(get_basis(basis), SobolevDecay(1.0))
+    fam = KernelVectorFamily(model, dim)
+    n = 1000
+    for t in range(3):
+        dev = deviation_trial(fam, n, trial_rng(171, t))
+        ref = explicit_deviation(fam, n, trial_rng(171, t))
+        # at dim = 1 the deviation is about zero, so scale by ||Lambda||
+        assert abs(dev - ref) <= 1e-12 * max(dev, fam.lambda_op)
+        # the per-node norms the check reads are the block's row norms
+        x = trial_rng(171, t).random(n)
+        Y = fam.sample(trial_rng(171, t), n)
+        np.testing.assert_allclose(
+            model.basis.weighted_head_at(model.rule, dim, x),
+            np.sum(np.abs(Y) ** 2, axis=1), rtol=1e-13)
+
+
+def test_two_point_count_matches_explicit_block():
+    fam = TwoPointVectorFamily()
+    for n in (1, 2, 1000):
+        for t in range(20):
+            assert (deviation_trial(fam, n, trial_rng(9, t))
+                    == explicit_deviation(fam, n, trial_rng(9, t)))
+    for a in (0.5, 2.0):
+        fam = TwoPointVectorFamily(a=a, m_bound=max(a, 1.0))
+        for n in (1, 2, 1000):
+            for t in range(20):
+                assert deviation_trial(fam, n, trial_rng(9, t)) \
+                    == pytest.approx(explicit_deviation(fam, n,
+                                                        trial_rng(9, t)),
+                                     rel=0.0, abs=1e-15)
+
+
+def test_understated_kernel_norm_bound_raises():
+    model = SpectralKernelModel(get_basis("cosine"), SobolevDecay(1.0))
+    fam = KernelVectorFamily(model, 64)
+    deviation_trial(fam, 200, trial_rng(2))
+    fam.m_bound *= 0.9
+    with pytest.raises(ValueError, match="exceeds the stated bound"):
+        deviation_trial(fam, 200, trial_rng(2))
+
+
+def test_two_point_norm_check_reads_the_drawn_vectors():
+    # one draw each: stream `with_e1` picks a e_1, stream `without_e1` e_2
+    picks = [bool(trial_rng(0, t).random(1)[0] < 0.5) for t in range(20)]
+    with_e1, without_e1 = picks.index(True), picks.index(False)
+    wide = TwoPointVectorFamily(a=2.0, m_bound=1.5)
+    with pytest.raises(ValueError, match="norm 2 exceeds the stated bound "
+                                         "1.5"):
+        deviation_trial(wide, 1, trial_rng(0, with_e1))
+    assert deviation_trial(wide, 1, trial_rng(0, without_e1)) == 2.0
+    narrow = TwoPointVectorFamily(a=0.5, m_bound=0.75)
+    with pytest.raises(ValueError, match="norm 1 exceeds the stated bound "
+                                         "0.75"):
+        deviation_trial(narrow, 1, trial_rng(0, without_e1))
+    assert deviation_trial(narrow, 1, trial_rng(0, with_e1)) == 0.5

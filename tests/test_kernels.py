@@ -657,3 +657,52 @@ def test_explicit_model_beyond_its_rank_is_exactly_zero(name, beyond):
 def test_explicit_rule_rejects_an_empty_list():
     with pytest.raises(ValueError, match="non-empty"):
         ExplicitEigenvalues([])
+
+
+def test_trunc_index_is_searched_on_first_read(monkeypatch):
+    rule = SobolevDecay(1.0)
+    calls = []
+    search = rule.index_for_tail
+
+    def spy(bound):
+        calls.append(bound)
+        return search(bound)
+    monkeypatch.setattr(rule, "index_for_tail", spy)
+    model = SpectralKernelModel(get_basis("cosine"), rule)
+    assert calls == []
+    assert model.trunc_index == search(model.eps_trunc)
+    assert model.trunc_index == search(model.eps_trunc)
+    assert calls == [model.eps_trunc]
+
+
+@pytest.mark.parametrize("m", [1, 2])
+def test_empty_cosine_series_builds_no_tables(monkeypatch, m):
+    from rkhslab import kernels
+    rule = SobolevDecay(1.0)
+    basis = get_basis("cosine")
+    x = np.concatenate([[0.0, 0.25, 0.5, 1.0],
+                        np.random.default_rng(12).random(3000)])
+    # the formulas with the empty (m - 1 < 2) series summed through tables
+    theta = TWO_PI * x
+    want_at = rule.tail(2) + (kernels._cos_series_inverse_sq(theta)
+                              - _trig_series(theta, np.zeros(1)).real)
+    if m == 1:
+        want_at = rule.value(1) + want_at
+    theta = TWO_PI * (x % 1.0)
+    full = (0.5 * (math.pi - theta) - 0.5 * math.pi
+            * np.sinh(math.pi - theta) / math.sinh(math.pi))
+    osc = full - _trig_series(theta, np.zeros(1)).imag
+    want_cdf = rule.tail(m) * x + osc / TWO_PI
+    calls = []
+    tables = kernels._split_tables
+
+    def spy(*args):
+        calls.append(args)
+        return tables(*args)
+    monkeypatch.setattr(kernels, "_split_tables", spy)
+    got_at, residual = basis.weighted_tail_at(rule, m, x)
+    got_cdf = basis.weighted_tail_cdf(rule, m, x)
+    assert calls == []
+    assert residual == 0.0
+    assert got_at.tobytes() == want_at.tobytes()
+    assert got_cdf.tobytes() == want_cdf.tobytes()
