@@ -281,15 +281,16 @@ def _split_tables(theta, v, top):
     and the anchor table A holds v_i exp(i*c*B*theta_i) (a scalar v weights
     every node alike); both are powers of the one exact ``exp(i*theta)``,
     e^{iB theta} being one more step of R, so each row costs one
-    block-vector multiply.  Every block refills the same two buffers, so a
-    block's tables hold until the next block is drawn and memory is
-    O(block sqrt(top)) whatever the node count.  Each node's entries are the
-    bits unblocked tables would hold.
+    block-vector multiply.  Every block refills the same two tables, views of
+    one buffer, so a block's tables hold until the next block is drawn and
+    memory is O(block sqrt(top)) whatever the node count.  Each node's
+    entries are the bits unblocked tables would hold.
     """
     count, step = _split_shape(top)
     width = min(theta.size, _NODE_BLOCK)
-    rotations = np.empty((step + 1, width), dtype=complex)
-    anchors = np.empty((count, width), dtype=complex)
+    # one block: two ~0.7 MB ones go back to the OS and fault in per call
+    tables = np.empty((step + 1 + count, width), dtype=complex)
+    rotations, anchors = tables[: step + 1], tables[step + 1:]
     # an empty theta still yields one (empty) block
     for lo in range(0, max(theta.size, 1), _NODE_BLOCK):
         part = slice(lo, lo + _NODE_BLOCK)

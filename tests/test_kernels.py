@@ -706,3 +706,19 @@ def test_empty_cosine_series_builds_no_tables(monkeypatch, m):
     assert residual == 0.0
     assert got_at.tobytes() == want_at.tobytes()
     assert got_cdf.tobytes() == want_cdf.tobytes()
+
+
+@pytest.mark.parametrize("n, top", [(1000, 2050), (5000, 1022), (0, 8)])
+def test_split_tables_share_one_block(n, top):
+    # Two separate ~0.7 MB tables go back to the system on free and fault in
+    # again on the next call: about 1,700 minor faults per recover-secular
+    # run and 900-1,900 per discretize-dense run (in-process, after warm-up),
+    # against 0-4 and 1-500 with both tables in one block.
+    from rkhslab import kernels
+    theta = TWO_PI * np.random.default_rng(19).random(n)
+    pairs = 0
+    for _, anchors, rotations in kernels._split_tables(theta, 1.0, top):
+        assert anchors.base is not None
+        assert anchors.base is rotations.base
+        pairs += 1
+    assert pairs == max(1, -(-n // _NODE_BLOCK))

@@ -363,3 +363,44 @@ def test_nullspace_component_on_a_rank_deficient_design_raises():
     assert not ds.full_rank
     with pytest.raises(RankDeficientError):
         wce_nullspace_component(0.2, nodes, ds)
+
+
+_CAP_CONFIGS = {
+    # criterion 4: auto truncation N = 4096, trials 0-7
+    "recover": ("kind = recover\nbasis = fourier\ndecay = poly\ns = 1.0\n"
+                "density = spectral-mix-atom\natom_mass = 0.3\nn = 1000\n"
+                "r = 2.0\nm_rule = auto\ntrials = 8\nseed = 104\n"),
+    # criterion 8 (sweep-dense): trial 0 at every grid point, N = 512
+    "sweep": ("kind = sweep\nbasis = fourier\ndecay = poly\ns = 1.0\n"
+              "density = spectral-mix\n"
+              "n_grid = 256,512,1024,2048,4096,8192,16384\nr = 2.0\n"
+              "m_rule = auto\ntrials = 1\nseed = 108\ntrunc = 512\n"),
+}
+
+
+def _capped_value_sq_bits(monkeypatch, text, steps):
+    from rkhslab import experiment as ex
+    monkeypatch.setattr(worstcase, "_SECULAR_STEPS", steps)
+    cfg = ex.build_config(ex.parse_config(text))
+    model = ex.build_model(cfg)
+    out = []
+    for g, n in enumerate(cfg.n_grid or (cfg.n,)):
+        m = ex.resolve_m(cfg, model, n)
+        density = SamplingDensity(model, cfg.density, m=m)
+        for t in range(cfg.trials):
+            nodes = draw_nodes(density, n, cfg.seed,
+                               g * ex._SWEEP_STREAM_STRIDE + t)
+            wce = exact_wce_recovery(model, density, nodes, m,
+                                     trunc=cfg.trunc)
+            out.append(wce.value_sq.hex())
+    return out
+
+
+@pytest.mark.parametrize("name", sorted(_CAP_CONFIGS))
+def test_secular_step_cap_is_not_reached_on_benchmark_configs(monkeypatch,
+                                                              name):
+    # the 90-step cap ends the solve silently; on these configs the bracket
+    # closes within 12 steps, so the cap never decides a value
+    text = _CAP_CONFIGS[name]
+    at_cap = _capped_value_sq_bits(monkeypatch, text, 90)
+    assert _capped_value_sq_bits(monkeypatch, text, 12) == at_cap
