@@ -550,11 +550,13 @@ class CosineBasis:
         return float(2 * m - 3)
 
     def spectral_sum_at(self, m, x):
-        x = np.asarray(x, dtype=float)
+        """sum_{k < m} |eta_k(x)|^2 = (m - 1) + sum_{f=1}^{m-2} cos(2 pi f x),
+        from |eta_k|^2 = 1 + cos(2 pi (k-1) x) for k >= 2."""
+        x = self.domain.canonical(x)
         if m <= 1:
             return np.zeros(x.shape)
-        block = self.eval_block(np.arange(1, m), x.ravel())
-        return np.sum(np.square(block, out=block), axis=1).reshape(x.shape)
+        coef = np.concatenate([[0.0], np.ones(m - 2)])
+        return (m - 1) + _trig_series(TWO_PI * x, coef).real
 
     def spectral_sum_cdf(self, m, x):
         """sum_{k < m} F_k(x) for m >= 2, F_k the distribution function of

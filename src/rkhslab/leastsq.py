@@ -12,10 +12,10 @@ tall-skinny QR (Demmel, Grigori, Hoemmen & Langou 2012): Householder QR
 (Golub & Van Loan 5.2) of cache-sized row blocks, then of their stacked
 triangles; Q is never formed.  L itself is never held whole: each row block
 is evaluated, weighted and factored in turn, and ``DesignSystem.matrix``
-builds L only on request.  The fit alone factors again: R of [L g] holds R
-of L and, in its last column, Q* g for the implicit Q of the block
-reflectors (Golub 1965), so it stays backward stable at any condition
-number the rank test accepts, and no design keeps Q for it.
+builds L only for ``dump_design`` and the tests.  The fit alone factors
+again: R of [L g] holds R of L and, in its last column, Q* g for the
+implicit Q of the block reflectors (Golub 1965), so it stays backward
+stable at any condition number the rank test accepts; no design keeps Q.
 """
 
 import csv
@@ -65,7 +65,7 @@ class DesignSystem:
 
     @property
     def matrix(self):
-        """L, built whole on each request."""
+        """L, built whole on each request (``dump_design``, tests)."""
         return self.rows(0, self.n)
 
     @property

@@ -197,10 +197,9 @@ def _recovery_parts(model, density, nodes, m, trunc, design):
     d = np.concatenate([np.zeros(m - 1), sig[m - 1:] ** 2])
 
     tail = model.tail_sum(N + 1)
-    lam_next = float(model.eigenvalues(np.asarray([N + 1]))[0])
     pinv = ds.pinv_norm()
     wsum = float(np.sum(w ** 2))
-    resid = math.sqrt(lam_next
+    resid = math.sqrt(model.rule.value(N + 1)
                       + pinv ** 2 * model.basis.sup_eta_sq * tail * wsum)
     return ds, C, d, sig, N, resid
 
@@ -273,10 +272,9 @@ def exact_wce_discretization(model, nodes, weights=None, trunc=None):
                      v0=v0, tol=0, return_eigenvectors=False)
         value = float(abs(vals[0]))
 
-    lam_next = float(model.eigenvalues(np.asarray([N + 1]))[0])
+    lam_next = model.rule.value(N + 1)
     q2 = model.basis.sup_eta_sq * model.tail_sum(N + 1) * float(w.max())
-    lam_one = float(model.eigenvalues(np.asarray([1]))[0])
-    resid = lam_next + q2 + math.sqrt((lam_one + value) * q2)
+    resid = lam_next + q2 + math.sqrt((model.rule.value(1) + value) * q2)
     return DiscretizationValue(value=value, residual=resid, trunc_dim=N)
 
 
@@ -284,21 +282,22 @@ def wce_nullspace_component(atom_mass, nodes, design):
     """Worst-case L2 mass the solver picks up from the kernel's diagonal
     part: sup over the nullspace unit ball of ||fitted function||^2.
 
-    The nullspace Gram at distinct nodes is atom_mass times the identity, so
-    the sup is an (m-1)-dimensional eigenvalue problem.  When the Gram
-    eigenvalues are at least one half the value provably stays below
-    2 atom_mass max(1/rho) / n; the report carries that envelope.  Raises
+    At distinct nodes the nullspace Gram is atom_mass I, so the sup is
+    atom_mass lambda_max(H^-1 L* W^2 L H^-1) with H = L* L, and L* W^2 L is
+    the moment Gram of node weights w^4: no design row is evaluated.  With
+    Gram eigenvalues at least one half it provably stays below
+    2 atom_mass max(1/rho) / n, the report's envelope.  Raises
     RankDeficientError on a rank-deficient design.
     """
     atom_mass = float(atom_mass)
     if atom_mass < 0.0:
         raise ValueError("atom mass must be non-negative")
-    x = np.asarray(nodes.x, dtype=float)
-    if np.unique(x).size != x.size:
+    if np.unique(nodes.x).size != np.size(nodes.x):
         raise ValueError("nodes must be distinct")
     n, w = design.n, design.weights
-    Mw = design.solve(design.matrix.conj().T) * w[None, :]
-    small = Mw @ Mw.conj().T
+    gram = design.basis.weighted_gram(design.indices, design.indices,
+                                      design.x, w ** 4)
+    small = design.solve(design.solve(gram).conj().T)
     small = 0.5 * (small + small.conj().T)
     component = atom_mass * float(np.linalg.eigvalsh(small)[-1])
     envelope = 2.0 * atom_mass * float(np.max(w ** 2)) / n
@@ -541,13 +540,12 @@ def bound(name, **inputs):
 def model_bound_inputs(model, n, r, m, density=None):
     """Collect every spectral input the named bounds can ask for."""
     m = int(m)
-    lam_m = float(model.eigenvalues(np.asarray([m]))[0])
     half_start = max(1, m // 2)
     inputs = {
         "n": int(n),
         "r": float(r),
         "m": m,
-        "sigma_m_sq": lam_m,
+        "sigma_m_sq": model.rule.value(m),
         "tail_weighted_sup": model.tail_function(m),
         "tail_sum": model.tail_sum(m),
         "half_tail_sum": model.tail_sum(half_start),

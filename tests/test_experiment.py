@@ -164,6 +164,29 @@ def test_flagged_recover_trials_exceed_both_bounds(monkeypatch):
         r["wce_sq"] for r in recs if not r["flagged"])
 
 
+@pytest.mark.parametrize("basis", ["fourier", "cosine"])
+def test_nullspace_cells_need_no_whole_design(monkeypatch, basis):
+    # a Sobolev tail has an exact cosine density; poly's is truncated
+    text = (RECOVER_CFG.replace("basis = fourier", "basis = " + basis)
+            .replace("decay = poly", "decay = sobolev")
+            .replace("density = spectral-mix",
+                     "density = spectral-mix-atom\natom_mass = 0.3")
+            .replace("n = 120", "n = 300").replace("trials = 4", "trials = 3"))
+    want = ex.run(build(text))
+
+    def whole(self):
+        raise AssertionError("the design was built whole")
+
+    monkeypatch.setattr(rkhslab.leastsq.DesignSystem, "matrix",
+                        property(whole))
+    got = ex.run(build(text))
+    col = want.header.index("nullspace")
+    cells = [row[col] for row in want.rows]
+    assert all(cell > 0.0 for cell in cells)
+    np.testing.assert_allclose([row[col] for row in got.rows], cells,
+                               rtol=1e-13, atol=0.0)
+
+
 def test_sweep_point_with_all_trials_flagged_has_nan_medians(monkeypatch,
                                                              tmp_path):
     # one trial per grid point: points 0 and 2 flag entirely, 1 and 3 not

@@ -134,6 +134,21 @@ def test_cosine_spectral_sum_at_matches_cosine_squares(m):
     np.testing.assert_allclose(got, want, rtol=1e-12, atol=0.0)
 
 
+@pytest.mark.parametrize("m", [1, 2, 3, 64, 257])
+def test_cosine_spectral_sum_at_matches_the_explicit_block(m):
+    basis = get_basis("cosine")
+    x = np.concatenate([[0.0, 0.5, 1.0],
+                        np.random.default_rng(31).random(997)])
+    want = np.zeros(x.size)
+    if m >= 2:
+        want = np.sum(basis.eval_block(np.arange(1, m), x) ** 2, axis=1)
+    np.testing.assert_allclose(basis.spectral_sum_at(m, x), want,
+                               rtol=1e-12, atol=0.0)
+    assert np.shape(basis.spectral_sum_at(m, 0.3)) == ()
+    with pytest.raises(DomainError):
+        basis.spectral_sum_at(m, 1.5)
+
+
 def test_tail_sums_pinned():
     assert poly_fourier().tail_sum(5) == pytest.approx(
         0.22132295573711533, rel=1e-12)

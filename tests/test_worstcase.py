@@ -295,6 +295,25 @@ def test_nullspace_identity_gram():
     assert rep.within_envelope is True
 
 
+@pytest.mark.parametrize("name", ["fourier", "cosine"])
+@pytest.mark.parametrize("kind", ["plain", "spectral-mix-atom"])
+@pytest.mark.parametrize("m", [2, 5, 9])
+def test_nullspace_component_matches_the_dense_formula(name, kind, m):
+    # reference: a lambda_max(M M*) with M = (L*L)^-1 L* W from the whole
+    # design, against the component read from the w^4 moment Gram
+    model = SpectralKernelModel(get_basis(name), SobolevDecay(1.0),
+                                atom_mass=0.3)
+    density = SamplingDensity(model, kind, m=m)
+    nodes = draw_nodes(density, 60, seed=3)
+    ds = assemble_design(model, density, nodes, m)
+    if name == "cosine" and kind != "plain":
+        assert np.ptp(ds.weights) > 0.1
+    M = ds.solve(ds.matrix.conj().T) * ds.weights[None, :]
+    want = 0.3 * float(np.linalg.eigvalsh(M @ M.conj().T)[-1])
+    rep = wce_nullspace_component(0.3, nodes, ds)
+    assert rep.component == pytest.approx(want, rel=1e-12, abs=0.0)
+
+
 def test_power_iteration_norm():
     rng = trial_rng(7)
     A = rng.standard_normal((18, 12))
