@@ -25,7 +25,7 @@ from .densities import (BUDGET_KINDS, SamplingDensity, draw_nodes,
 from .errors import ConfigError, DegenerateDensityError, RankDeficientError
 from .kernels import (BASES, ExplicitEigenvalues, GeometricDecay,
                       PolynomialDecay, SobolevDecay, SpectralKernelModel)
-from .leastsq import assemble_design, gram_eig_check
+from .leastsq import assemble_design, gram_eig_check, gram_spectrum
 from .worstcase import (FAIL_MULT, bound, choose_m, exact_wce_discretization,
                         exact_wce_recovery, max_m_under, mode_budget,
                         model_bound_inputs, wce_nullspace_component)
@@ -495,8 +495,7 @@ def run_eigcheck(cfg):
     density = SamplingDensity(model, cfg.density, m=m)
 
     def trial(nodes):
-        chk = gram_eig_check(assemble_design(model, density, nodes, m),
-                             r=cfg.r)
+        chk = gram_eig_check(gram_spectrum(model, nodes, m), r=cfg.r)
         return {"m": m, "lambda_min": chk["lambda_min"],
                 "lambda_max": chk["lambda_max"],
                 "pinv_norm": chk["pinv_norm"], "eig_ok": int(chk["eig_ok"]),

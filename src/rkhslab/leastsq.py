@@ -4,18 +4,22 @@ The approximant lives in span{eta_1, ..., eta_{m-1}}.  Rows of the design L
 are the basis functions at the nodes divided by sqrt(density); a node with
 zero density contributes a zero row (same convention for the samples).  The
 Gram H = (1/n) L* L concentrates around the identity for a suitable density.
-L is factored once, L = QR, and every consumer reads the triangle R: its
-singular values are those of L, so they give the Gram eigenvalues
-sigma^2 / n, the rank and the pseudo-inverse norm, and solves with
-L* L = R* R are two triangular solves.  R comes from a row-blocked
-tall-skinny QR (Demmel, Grigori, Hoemmen & Langou 2012): Householder QR
-(Golub & Van Loan 5.2) of cache-sized row blocks, then of their stacked
-triangles; Q is never formed.  L itself is never held whole: each row block
-is evaluated, weighted and factored in turn, and ``DesignSystem.matrix``
-builds L only for ``dump_design`` and the tests.  The fit alone factors
-again: R of [L g] holds R of L and, in its last column, Q* g for the
-implicit Q of the block reflectors (Golub 1965), so it stays backward
-stable at any condition number the rank test accepts; no design keeps Q.
+The eigenvalue check reads H alone: ``gram_spectrum`` takes its extreme
+eigenvalues from the weighted moments of ``weighted_gram`` with weights
+1/density, and never forms L.  Recovery factors L once, L = QR, and reads
+the triangle R: its singular values are those of L, so they give the rank
+test at a ratio the Gram, with its squared condition number, cannot
+resolve, and solves with L* L = R* R are two triangular solves.  R comes
+from a row-blocked tall-skinny QR (Demmel, Grigori, Hoemmen & Langou 2012):
+Householder QR (Golub & Van Loan 5.2) of cache-sized row blocks, then of
+their stacked triangles; Q is never formed.  L itself is never held whole:
+each row block is evaluated, weighted and factored in turn, and
+``DesignSystem.matrix`` builds L only for ``dump_design`` and the tests.
+The fit alone factors again: R of [L g] holds R of L and, in its last
+column, Q* g for the implicit Q of the block reflectors (Golub 1965), so it
+stays backward stable at any condition number the rank test accepts; no
+design keeps Q.  scipy.linalg is imported by the first factorization or
+triangular solve, so a run that makes neither never loads it.
 """
 
 import csv
@@ -23,7 +27,6 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.linalg import get_lapack_funcs, solve_triangular
 
 from .concentration import fail_prob
 from .errors import RankDeficientError
@@ -31,6 +34,12 @@ from .errors import RankDeficientError
 # columns below this singular-value ratio make the trial unusable
 RANK_RTOL = 1e-10
 _QR_BLOCK_BYTES = 1 << 20  # bytes per row block of the blocked QR
+
+
+def get_lapack_funcs(names, arrays):
+    """scipy.linalg's, imported at the first factorization."""
+    from scipy.linalg import get_lapack_funcs as lapack_funcs
+    return lapack_funcs(names, arrays)
 
 
 @dataclass
@@ -105,9 +114,24 @@ class DesignSystem:
     def solve(self, rhs):
         """(L*L)^(-1) rhs as R^(-1) R^(-*) rhs; raises RankDeficientError
         on a rank-deficient design, which the runner flags."""
+        from scipy.linalg import solve_triangular
         self._require_full_rank()
         half = solve_triangular(self.factor, rhs, trans="C", lower=False)
         return solve_triangular(self.factor, half, lower=False)
+
+
+@dataclass(frozen=True)
+class GramSpectrum:
+    """Extreme eigenvalues of the Gram (1/n) L*L of an n-node design."""
+
+    n: int
+    lambda_min: float
+    lambda_max: float
+
+    def pinv_norm(self):
+        """1 / sqrt(n lambda_min), as ``DesignSystem.pinv_norm()``."""
+        smin = math.sqrt(self.n * self.lambda_min)
+        return 1.0 / smin if smin > 0.0 else math.inf
 
 
 @dataclass
@@ -155,25 +179,45 @@ def _triangle(a):
                               *a.shape, a.dtype)
 
 
-def assemble_design(model, density, nodes, m):
-    """Make the weighted design system; its rows are factored as they are
-    evaluated.
-
-    Never raises on rank deficiency; callers inspect ``full_rank`` and flag
-    the trial."""
+def _weighted_span(nodes, m):
+    """m, n and the row weights 1/sqrt(rho), 0 where rho = 0, once
+    1 <= m-1 <= n holds."""
     m = int(m)
     n = int(nodes.n)
     # n = m-1 (square system) is allowed: the single-node constant-column
     # case is the smallest legal instance
     if not (1 <= m - 1 <= n):
         raise ValueError("need n >= m-1 >= 1, got n=%d m=%d" % (n, m))
+    rho = np.asarray(nodes.density_values, dtype=float)
+    return m, n, np.where(rho > 0.0,
+                          1.0 / np.sqrt(np.where(rho > 0.0, rho, 1.0)), 0.0)
+
+
+def assemble_design(model, density, nodes, m):
+    """Make the weighted design system; its rows are factored as they are
+    evaluated.
+
+    Never raises on rank deficiency; callers inspect ``full_rank`` and flag
+    the trial."""
+    m, n, weights = _weighted_span(nodes, m)
     if np.unique(nodes.x).size != n:
         raise ValueError("nodes must be distinct")
-    rho = np.asarray(nodes.density_values, dtype=float)
-    weights = np.where(rho > 0.0, 1.0 / np.sqrt(np.where(rho > 0.0, rho, 1.0)),
-                       0.0)
     return DesignSystem(basis=model.basis, indices=np.arange(1, m),
                         x=nodes.x, weights=weights)
+
+
+def gram_spectrum(model, nodes, m):
+    """GramSpectrum of the design that ``assemble_design`` makes, without
+    making it: eigvalsh of weighted_gram(1..m-1, 1..m-1, x, w^2) / n for
+    the row weights w is (1/n) L*L.  eigvalsh of a singular Gram can
+    return -1e-17, so lambda_min is clamped at 0."""
+    m, n, weights = _weighted_span(nodes, m)
+    span = np.arange(1, m)
+    eigs = np.linalg.eigvalsh(model.basis.weighted_gram(
+        span, span, nodes.x, weights * weights) / n)
+    low = float(eigs[0])
+    return GramSpectrum(n=n, lambda_min=low if low > 0.0 else 0.0,
+                        lambda_max=float(eigs[-1]))
 
 
 def recover(model, density, nodes, m, samples, design=None):
@@ -182,6 +226,7 @@ def recover(model, density, nodes, m, samples, design=None):
     ``design`` can be passed to reuse an assembled system.  Raises
     RankDeficientError on a rank-deficient design.
     """
+    from scipy.linalg import solve_triangular
     ds = design if design is not None else assemble_design(model, density,
                                                            nodes, m)
     ds._require_full_rank()
@@ -204,6 +249,9 @@ def recover(model, density, nodes, m, samples, design=None):
 def gram_eig_check(ds, r=None):
     """Spectral predicates used by the failure-rate experiments.
 
+    ``ds`` is anything with ``n``, ``lambda_min``, ``lambda_max`` and
+    ``pinv_norm()``: a ``DesignSystem``, or the ``GramSpectrum`` that the
+    eig-check experiment reads from the moment Gram.
     eig_ok: smallest Gram eigenvalue at least one half.
     norm_ok: pseudo-inverse norm inside [sqrt(2/(3n)), sqrt(2/n)].
     """

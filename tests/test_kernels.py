@@ -623,6 +623,55 @@ def test_scipy_special_and_sparse_load_only_where_called():
         "print('scipy.special' in sys.modules)") == ["True"]
 
 
+_LINALG_LOADS = """
+import sys
+import numpy as np
+import rkhslab
+from rkhslab import experiment as ex, leastsq
+
+def loaded():
+    print("loaded", "scipy.linalg" in sys.modules)
+
+def run(text):
+    return ex.run(ex.build_config(ex.parse_config(
+        text + "decay = sobolev\\ns = 1.0\\nr = 2.0\\ntrials = 2\\n")))
+
+loaded()
+run("kind = eig-check\\nbasis = cosine\\ndensity = plain\\nn = 200\\n"
+    "m_rule = max-cond-7\\n")
+run("kind = eig-check\\nbasis = fourier\\ndensity = spectral-mix\\n"
+    "n = 200\\nm_rule = fixed\\nm = 6\\n")
+for family in ("kernel", "two-point"):
+    run("kind = concentration\\nbasis = cosine\\nfamily = %s\\ndim = 8\\n"
+        "n = 100\\nt_points = 3\\n" % family)
+loaded()
+print(repr(run("kind = recover\\nbasis = fourier\\ndensity = spectral-mix\\n"
+               "n = 120\\nm_rule = auto\\n").rows))
+loaded()
+a = np.random.default_rng(5).standard_normal((300, 7))
+print(leastsq._triangle(a).tobytes().hex())
+print(leastsq._triangle(a + 1j * a[::-1]).tobytes().hex())
+"""
+
+
+def test_scipy_linalg_loads_at_the_first_factorization():
+    # eig-check reads the moment Gram and the concentration families their
+    # own Grams, so none of them loads scipy.linalg; the recovery's QR and
+    # triangular solves load it, and give the bits of the calls made here
+    import contextlib
+    import io
+
+    lines = _fresh_python(_LINALG_LOADS)
+    assert [s for s in lines if s.startswith("loaded")] == [
+        "loaded False", "loaded False", "loaded True"]
+    buf = io.StringIO()
+    with contextlib.redirect_stdout(buf):
+        exec(_LINALG_LOADS, {})
+    assert ([s for s in lines if not s.startswith("loaded")]
+            == [s for s in buf.getvalue().splitlines()
+                if not s.startswith("loaded")])
+
+
 _FIRST_CALLS = """
 import numpy as np
 from rkhslab import (PolynomialDecay, SobolevDecay, SpectralKernelModel,

@@ -165,6 +165,70 @@ def test_gram_eig_check_report():
     assert chk["fail_prob_bound"] == pytest.approx(400.0 ** -1.0)
 
 
+def assert_spectrum_matches_design(model, density, nodes, m):
+    got = gram_eig_check(leastsq.gram_spectrum(model, nodes, m), r=2.0)
+    want = gram_eig_check(assemble_design(model, density, nodes, m), r=2.0)
+    for key in ("lambda_min", "lambda_max", "pinv_norm"):
+        assert got[key] == pytest.approx(want[key], rel=1e-13, abs=0.0)
+    # the predicates and the window are the same
+    assert got == {**want, "lambda_min": got["lambda_min"],
+                   "lambda_max": got["lambda_max"],
+                   "pinv_norm": got["pinv_norm"]}
+
+
+@pytest.mark.parametrize("model_of", [fourier_model, cosine_model])
+@pytest.mark.parametrize("kind", ["plain", "spectral-mix"])
+@pytest.mark.parametrize("m", [2, 3, 10, 33])
+def test_moment_gram_spectrum_matches_the_factored_design(model_of, kind, m):
+    # the QR path is the oracle: R's singular values give the same extreme
+    # Gram eigenvalues as eigvalsh of the moment Gram with weights 1/rho
+    model = model_of()
+    density = SamplingDensity(model, kind, m=m)
+    nodes = draw_nodes(density, 300, seed=m)
+    # |eta_k|^2 = 1 makes Fourier's spectral-mix density uniform
+    if kind == "spectral-mix" and model_of is cosine_model:
+        assert np.ptp(nodes.density_values) > 0.1
+    assert_spectrum_matches_design(model, density, nodes, m)
+
+
+@pytest.mark.parametrize("model_of", [fourier_model, cosine_model])
+@pytest.mark.parametrize("m", [3, 10])
+def test_moment_gram_spectrum_reads_any_node_weights(model_of, m):
+    # density values far from 1, a tenth of them zero (a zero design row)
+    model = model_of()
+    density = SamplingDensity(model, "plain")
+    nodes = draw_nodes(density, 300, seed=m)
+    rng = np.random.default_rng(m)
+    nodes.density_values = (rng.uniform(0.2, 3.0, 300)
+                            * (rng.random(300) > 0.1))
+    assert_spectrum_matches_design(model, density, nodes, m)
+
+
+def test_moment_gram_spectrum_clamps_lambda_min_at_zero(monkeypatch):
+    model = fourier_model()
+    density = SamplingDensity(model, "plain")
+    nodes = equispaced(density, 8)
+    # eigvalsh of a singular Gram can dip below zero
+    monkeypatch.setattr(np.linalg, "eigvalsh",
+                        lambda a: np.array([-1e-17, 1.0]))
+    spectrum = leastsq.gram_spectrum(model, nodes, 3)
+    assert spectrum.lambda_min == 0.0 and spectrum.pinv_norm() == math.inf
+    monkeypatch.undo()
+    # zero density at every node: the zero Gram, as the zero design
+    nodes.density_values = np.zeros(8)
+    spectrum = leastsq.gram_spectrum(model, nodes, 3)
+    chk = gram_eig_check(spectrum, r=2.0)
+    assert (spectrum.lambda_min, spectrum.lambda_max) == (0.0, 0.0)
+    assert chk["pinv_norm"] == math.inf and not chk["norm_ok"]
+    assert not chk["eig_ok"] and not any(
+        isinstance(v, float) and math.isnan(v) for v in chk.values())
+    assert assemble_design(model, density, nodes, 3).pinv_norm() == math.inf
+    with pytest.raises(ValueError):
+        leastsq.gram_spectrum(model, nodes, 1)  # empty span
+    with pytest.raises(ValueError):
+        leastsq.gram_spectrum(model, nodes, 10)  # m-1 > n
+
+
 def test_dump_design_writes_csv(tmp_path):
     model = cosine_model()
     density = SamplingDensity(model, "plain")
