@@ -7,10 +7,12 @@ and floats are serialized with repr (shortest round trip).
 """
 
 import csv
+import functools
 import hashlib
 import json
 import math
 import statistics
+from collections.abc import Sequence
 from dataclasses import MISSING, dataclass, field, fields
 
 import numpy as np
@@ -254,13 +256,99 @@ def within_budget(count, trials, budget):
     return rate, rate <= budget + three_se_slack(rate, trials)
 
 
+class TrialTable(Sequence):
+    """A read-only table of numeric rows, held as one int64 block and one
+    float64 block of columns.
+
+    Every cell is a number: an int (a flag too, as 0 or 1) or a float, and
+    each column holds one of the two.  Indexing and iteration give tuples of
+    Python ``int`` and ``float``.
+    """
+
+    __slots__ = ("_floats", "_ints", "_perm")
+
+    def __init__(self, columns):
+        """``columns``: each column's cells, in header order; a column of
+        ints (bools included) goes to the int64 block, one of floats to the
+        float64 block, and any other column raises TypeError."""
+        blocks, is_int = ([], []), []
+        for cells in columns:
+            types = set(map(type, cells))
+            if all(issubclass(t, (int, np.integer)) for t in types):
+                kind = True
+            elif all(issubclass(t, (float, np.floating)) for t in types):
+                kind = False
+            else:
+                raise TypeError("a table column must hold only ints or only "
+                                "floats, not %s" % ", ".join(
+                                    sorted(t.__name__ for t in types)))
+            blocks[kind].append(cells)
+            is_int.append(kind)
+        rows = len(columns[0]) if columns else 0
+        # a reshaped view would keep a second array object alive
+        self._floats, self._ints = (
+            np.array(cells, dtype=dtype) if cells else np.empty((0, rows),
+                                                                dtype=dtype)
+            for cells, dtype in zip(blocks, (np.float64, np.int64)))
+        self._perm = _row_order(tuple(is_int))
+
+    def __len__(self):
+        return self._floats.shape[1]
+
+    def __getitem__(self, i):
+        if isinstance(i, slice):
+            return [self[j] for j in range(*i.indices(len(self)))]
+        cells = self._floats[:, i].tolist() + self._ints[:, i].tolist()
+        return tuple([cells[p] for p in self._perm])
+
+    def columns(self):
+        """(cells, is_int) of each column in header order, the cells as
+        Python numbers."""
+        cells = self._floats.tolist() + self._ints.tolist()
+        return [(cells[p], p >= len(self._floats)) for p in self._perm]
+
+    def __iter__(self):
+        return zip(*(cells for cells, _is_int in self.columns()))
+
+    def __eq__(self, other):
+        """Same column kinds and cells; a nan cell equals a nan cell."""
+        if not isinstance(other, TrialTable):
+            return NotImplemented
+        return (self._perm == other._perm
+                and np.array_equal(self._ints, other._ints)
+                and np.array_equal(self._floats, other._floats,
+                                   equal_nan=True))
+
+    def __repr__(self):
+        return repr(list(self))
+
+
+@functools.lru_cache(maxsize=None)
+def _row_order(is_int):
+    """Where each column sits among a row's float cells followed by its int
+    cells; one shared tuple per column layout, as every run's tables of one
+    kind share it."""
+    return tuple(np.argsort(is_int, kind="stable").argsort().tolist())
+
+
+def write_rows_csv(path, header, rows):
+    """A header line, then one line per row of the TrialTable ``rows``:
+    int cells as ``str``, float cells as ``repr`` (shortest round trip)."""
+    text = [map(str if is_int else repr, cells)
+            for cells, is_int in rows.columns()]
+    with open(path, "w", newline="", encoding="utf-8") as fh:
+        w = csv.writer(fh)
+        w.writerow(header)
+        w.writerows(zip(*text))
+
+
 @dataclass
 class ExperimentReport:
     kind: str
     config: dict
     config_hash: str
     header: list
-    rows: list
+    rows: TrialTable
     summary: dict
     extra_tables: dict = field(default_factory=dict)
 
@@ -291,21 +379,6 @@ class ExperimentReport:
         return bool(self.summary.get("pass", False))
 
 
-def _fmt_cell(v):
-    """Every cell is a number: an int (a flag too, as 0 or 1) or a float."""
-    if isinstance(v, (int, np.integer)):
-        return str(int(v))
-    return repr(float(v))
-
-
-def write_rows_csv(path, header, rows):
-    with open(path, "w", newline="", encoding="utf-8") as fh:
-        w = csv.writer(fh)
-        w.writerow(header)
-        for row in rows:
-            w.writerow([_fmt_cell(v) for v in row])
-
-
 def _json_safe(obj):
     """Nested dicts and lists of plain values for strict JSON: a rule as its
     ``describe()``, a NaN (a wholly flagged sweep point's median) as null."""
@@ -325,14 +398,18 @@ def _json_safe(obj):
 # ---------------------------------------------------------------------------
 
 
+def _table(header, records):
+    return TrialTable([[rec[k] for rec in records] for k in header])
+
+
 def _report(cfg, header, records, summary, extra_tables=None):
     """The run's report; each table row is a record's fields in order."""
-    tables = {name: (head, [[rec[k] for k in head] for rec in recs])
+    tables = {name: (head, _table(head, recs))
               for name, (head, recs) in (extra_tables or {}).items()}
     return ExperimentReport(kind=cfg.kind, config=cfg.semantic_dict(),
                             config_hash=cfg.config_hash(), header=header,
-                            rows=[[rec[k] for k in header] for rec in records],
-                            summary=summary, extra_tables=tables)
+                            rows=_table(header, records), summary=summary,
+                            extra_tables=tables)
 
 
 def _trials(cfg, density, n, trial, flagged=None, g=0):

@@ -336,7 +336,7 @@ def _trig_series(theta, coef):
     table = table.reshape(count, step)
     out = np.empty(theta.size, dtype=complex)
     for part, anchors, rotations in _split_tables(theta.ravel(), 1.0, top):
-        np.einsum("ci,ci->i", anchors, table @ rotations, out=out[part])
+        np.sum(anchors * (table @ rotations), axis=0, out=out[part])
     return out.reshape(theta.shape)
 
 

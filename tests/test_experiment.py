@@ -596,3 +596,74 @@ def test_kinds_without_a_flagged_record_reraise(monkeypatch, kind, target,
     monkeypatch.setattr(ex, target, rank_deficient)
     with pytest.raises(RankDeficientError):
         ex.run(build("kind = %s\n" % kind + text))
+
+
+def test_report_holds_about_ten_cells_per_eig_check_row():
+    # an eig-check row is 7 int and 3 float cells, 80 B in the two typed
+    # blocks; a list of boxed cells held about 321 B
+    import gc
+    import tracemalloc
+
+    cfg = build("kind = eig-check\nbasis = cosine\ndecay = sobolev\n"
+                "s = 1.0\ndensity = plain\nn = 200\nr = 2.0\n"
+                "m_rule = fixed\nm = 5\ntrials = 2000\nseed = 8\n")
+    ex.run(cfg)  # the warm-up fills lazy imports and caches
+    gc.collect()
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        rep = ex.run(cfg)
+        gc.collect()
+        held = tracemalloc.get_traced_memory()[0] - before
+    finally:
+        tracemalloc.stop()
+    assert len(rep.rows) == 2000
+    assert held / len(rep.rows) <= 120, held
+
+
+_CELL_HEADER = ["trial", "stream", "flagged", "value", "ratio"]
+_CELL_ROWS = [(0, 2 ** 31 + 7, 0, -0.0, math.nan),
+              (1, 2 ** 40, 1, math.inf, 5e-324),
+              (2, 2 ** 62 + 1, 0, -math.inf, 0.1)]
+
+
+def test_tables_keep_every_cell_as_written(tmp_path):
+    # numpy scalars and a bool flag are cells too; each reads back as the
+    # Python int or float it holds
+    recs = [dict(zip(_CELL_HEADER, row)) for row in _CELL_ROWS]
+    recs[1].update(stream=np.int64(2 ** 40), flagged=True,
+                   ratio=np.float64(5e-324))
+    curve = [{"t": 0.5, "count": 3}, {"t": -0.0, "count": -1}]
+    rep = ex._report(build(RECOVER_CFG), _CELL_HEADER, recs, {},
+                     {"curve.csv": (["t", "count"], curve)})
+    rows = list(rep.rows)
+    # repr tells -0.0 from 0.0 and prints nan alike on both sides
+    assert repr(rows) == repr(_CELL_ROWS) == repr(rep.rows)
+    assert [tuple(map(type, row)) for row in rows] == [
+        (int, int, int, float, float)] * 3
+    assert len(rep.rows) == 3
+    assert repr([rep.rows[i] for i in range(3)]) == repr(rows)
+    assert rep.rows[-1] == rows[-1] and rep.rows[1:] == rows[1:]
+    # == compares the cells, a nan cell equal to a nan cell
+    assert rep.rows == ex._report(build(RECOVER_CFG), _CELL_HEADER, recs,
+                                  {}).rows
+    recs[2]["value"] = 1.0
+    assert rep.rows != ex._report(build(RECOVER_CFG), _CELL_HEADER, recs,
+                                  {}).rows
+    rep.write(tmp_path)
+
+    def text(header, table):
+        lines = [header] + [[str(c) if type(c) is int else repr(c)
+                             for c in row] for row in table]
+        return "".join(",".join(line) + "\r\n" for line in lines)
+
+    with open(tmp_path / "trials.csv", newline="") as fh:
+        assert fh.read() == text(_CELL_HEADER, _CELL_ROWS)
+    with open(tmp_path / "curve.csv", newline="") as fh:
+        assert fh.read() == text(["t", "count"], [(0.5, 3), (-0.0, -1)])
+
+
+def test_a_column_mixing_ints_and_floats_is_refused():
+    recs = [{"trial": 0, "x": 1}, {"trial": 1, "x": 1.0}]
+    with pytest.raises(TypeError, match="only ints or only floats"):
+        ex._report(build(RECOVER_CFG), ["trial", "x"], recs, {})
