@@ -13,10 +13,14 @@ a term that carries no mass is dropped and the rest share its weight:
   kernel-diag       K(x, x) / trace
 
 Sampling is exact mixture sampling with a fixed RNG consumption order so that
-identical (seed, stream) pairs reproduce identical nodes bit for bit.  The
-rare draws whose tail index falls beyond the cached cumulative table are
+identical (seed, stream) pairs reproduce identical nodes bit for bit.  A
+tail-shaped term draws one uniform per node for its eigen index, then one
+for the coordinate.  On the Fourier basis every |eta_k|^2 is uniform, so the
+index uniforms are drawn (the stream depends on them) but never mapped.  On
+the cosine basis the index comes from a cached cumulative table, grown only
+as far as the largest uniform needs; the rare draws past the table's cap are
 resolved by binary search on the closed-form eigenvalue tail, so slow decay
-does not bias the sampler; one whose index would pass 2^62 raises
+does not bias the sampler, and one whose index would pass 2^62 raises
 TruncationError instead of being capped.
 """
 
@@ -29,6 +33,7 @@ import numpy as np
 from .errors import DegenerateDensityError, TruncationError
 from .kernels import TWO_PI, grid_maximum
 
+_TAIL_TABLE_START = 1 << 12
 _TAIL_TABLE_CAP = 1 << 16
 _NEWTON_STEPS = 4  # in invert_cosine_component_cdf
 
@@ -181,21 +186,35 @@ class SamplingDensity:
 
     # -- sampling ------------------------------------------------------------
 
-    def _tail_index_table(self, m_start):
-        """Cached cumulative tail-eigenvalue table starting at m_start."""
-        if self._tail_table is None or self._tail_table[0] != m_start:
-            model = self.model
-            total = model.tail_sum(m_start)
-            cap = model.rank if model.rank is not None else m_start + _TAIL_TABLE_CAP
-            ks = np.arange(m_start, cap + 1)
-            lam = model.eigenvalues(ks)
-            cum = np.cumsum(lam) / total
-            self._tail_table = (m_start, ks, cum, total)
-        return self._tail_table
+    def _tail_index_table(self, m_start, u_max=0.0):
+        """Cached cumulative tail-eigenvalue table starting at m_start.
+
+        The table holds _TAIL_TABLE_START entries and doubles until its last
+        value reaches u_max or it holds every index up to the model's rank,
+        or to m_start + _TAIL_TABLE_CAP; it never shrinks.  Each growth sums
+        again from m_start, so every entry, and every position a search
+        finds below u_max, has the bits of the table at its cap.
+        """
+        model = self.model
+        cap = model.rank if model.rank is not None else m_start + _TAIL_TABLE_CAP
+        full = max(cap - m_start + 1, 0)
+
+        def build(size, total):
+            ks = np.arange(m_start, m_start + size)
+            return m_start, ks, np.cumsum(model.eigenvalues(ks)) / total, total
+
+        table = self._tail_table
+        if table is None or table[0] != m_start:
+            table = build(min(_TAIL_TABLE_START, full), model.tail_sum(m_start))
+        while table[1].size < full and table[2][-1] < u_max:
+            table = build(min(2 * table[1].size, full), table[3])
+        self._tail_table = table
+        return table
 
     def _sample_tail_indices(self, rng, count, m_start):
-        m0, ks, cum, total = self._tail_index_table(m_start)
         u = rng.random(count)
+        m0, ks, cum, total = self._tail_index_table(m_start,
+                                                    u.max(initial=0.0))
         pos = np.searchsorted(cum, u, side="left")
         out = np.empty(count, dtype=np.int64)
         inside = pos < ks.size
@@ -247,7 +266,12 @@ class SamplingDensity:
                 ka = int(np.count_nonzero(is_atom))
                 vals = np.empty(k)
                 vals[is_atom] = rng.random(ka)
-                if k - ka:
+                if k - ka and self.model.basis.name == "fourier":
+                    # every |eta_k|^2 is uniform: the index uniforms keep
+                    # the stream as it is, but no index is computed
+                    rng.random(k - ka)
+                    vals[~is_atom] = rng.random(k - ka)
+                elif k - ka:
                     idx = self._sample_tail_indices(rng, k - ka, start)
                     vals[~is_atom] = self._coordinate_for_indices(rng, idx)
                 x[mask] = vals

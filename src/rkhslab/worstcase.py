@@ -59,6 +59,11 @@ class WceValue:
     trunc_dim: int
     lambda_min: float
     pinv_norm: float
+    # whether the secular solve's step cap ended it before its bracket
+    # closed, and the bracket's relative width when it stopped; in memory
+    # only, no output file carries them
+    secular_capped: bool
+    secular_width: float
 
     @property
     def value(self):
@@ -125,7 +130,9 @@ def _pick_trunc(model, trunc, lowest):
 
 
 def _lowrank_plus_diag_norm(d, C):
-    """Largest eigenvalue of diag(d) + C* C with C short and wide.
+    """(value, capped, width): the largest eigenvalue of diag(d) + C* C with C
+    short and wide, whether the _SECULAR_STEPS cap ended the solve before
+    the bracket closed, and the bracket's relative width when it stopped.
 
     Eigenvalues above max(d) solve lam(mu) = lambda_max(C (mu I - diag d)^{-1}
     C*) = 1.  lam decreases and is convex, with lam'(mu) = -sum_k |(u* C)_k|^2
@@ -135,9 +142,10 @@ def _lowrank_plus_diag_norm(d, C):
     & Sorensen 1978).  Every probe keeps 1e-15 relative inside the bracket,
     which certifies the upper end once Newton has converged; a step that is
     not finite falls back to the midpoint.  The upper end is returned once
-    the bracket is 1e-14 relative wide.  What is certified is that upper
-    end, up to the rounding of the ``eigh`` sign test that places each
-    probe: the value can sit a few eps below the exact eigenvalue.
+    the bracket is 1e-14 relative wide, or after _SECULAR_STEPS probes.
+    What is certified is that upper end, up to the rounding of the ``eigh``
+    sign test that places each probe: the value can sit a few eps below the
+    exact eigenvalue.
     The first probe sits 1e-13 above max(d) relative to the larger of max(d)
     and ||C||^2, never in absolute terms, so a top eigenvalue far below 1 is
     not rounded down to max(d).
@@ -148,7 +156,7 @@ def _lowrank_plus_diag_norm(d, C):
     big = float(np.linalg.eigvalsh(gram_small)[-1])
     d_max = float(d.max())
     if big <= 0.0:
-        return d_max
+        return d_max, False, 0.0
 
     def top(mu):
         """lam(mu) and -lam'(mu)."""
@@ -162,7 +170,7 @@ def _lowrank_plus_diag_norm(d, C):
     lo = d_max + 1e-13 * scale
     val, slope = top(lo)
     if val < 1.0:
-        return d_max
+        return d_max, False, 0.0
     hi = d_max + big + 1e-30
     for _ in range(_SECULAR_STEPS):
         if hi - lo <= _SECULAR_WIDTH * hi:
@@ -178,7 +186,7 @@ def _lowrank_plus_diag_norm(d, C):
             lo, val, slope = mu, v, s
         else:
             hi = mu
-    return hi
+    return hi, hi - lo > _SECULAR_WIDTH * hi, (hi - lo) / hi
 
 
 def _recovery_parts(model, density, nodes, m, trunc, design):
@@ -226,9 +234,10 @@ def exact_wce_recovery(model, density, nodes, m, trunc=None, design=None):
     """Exact squared worst-case L2 recovery error over the truncated ball."""
     ds, C, d, sig, N, resid = _recovery_parts(model, density, nodes, m,
                                               trunc, design)
-    return WceValue(value_sq=_lowrank_plus_diag_norm(d, C), residual=resid,
-                    trunc_dim=N, lambda_min=ds.lambda_min,
-                    pinv_norm=ds.pinv_norm())
+    value_sq, capped, width = _lowrank_plus_diag_norm(d, C)
+    return WceValue(value_sq=value_sq, residual=resid, trunc_dim=N,
+                    lambda_min=ds.lambda_min, pinv_norm=ds.pinv_norm(),
+                    secular_capped=capped, secular_width=width)
 
 
 _EIGSH_SEED = np.random.SeedSequence(9001)

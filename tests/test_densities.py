@@ -8,7 +8,8 @@ from rkhslab import (DegenerateDensityError, ExplicitEigenvalues,
                      GeometricDecay, PolynomialDecay, SamplingDensity,
                      SobolevDecay, SpectralKernelModel, TruncationError,
                      draw_nodes, get_basis, nodes_from_points, trial_rng)
-from rkhslab.densities import (BUDGET_KINDS, NormalizedKernelView,
+from rkhslab.densities import (_TAIL_TABLE_CAP, _TAIL_TABLE_START,
+                               BUDGET_KINDS, NormalizedKernelView,
                                invert_cosine_component_cdf, spectral_budget)
 
 
@@ -278,6 +279,159 @@ def test_deep_tail_draws_invert_the_eigenvalue_tail():
     # the largest uniform below 1 needs an index past 2^62: no silent cap
     with pytest.raises(TruncationError):
         d._sample_tail_indices(_FixedUniforms([1.0 - 2.0 ** -53]), 1, 5)
+
+
+def _indexed_sample(density, rng, count):
+    """Oracle: the mixture sampler with every tail-shaped term mapping its
+    index uniforms to eigen indices, whatever the basis."""
+    model = density.model
+    terms = list(density.mixture_weights().items())
+    edges = np.cumsum([w for _, w in terms])
+    choice = np.minimum(np.searchsorted(edges, rng.random(count),
+                                        side="right"), len(terms) - 1)
+    x = np.empty(count)
+    for t_i, (term, _w) in enumerate(terms):
+        mask = choice == t_i
+        k = int(np.count_nonzero(mask))
+        if k == 0:
+            continue
+        if term == "atom":
+            x[mask] = rng.random(k)
+        elif term == "spectral":
+            idx = rng.integers(1, density.m, size=k)
+            x[mask] = density._coordinate_for_indices(rng, idx)
+        else:
+            start, atom = density._tail_term(term)
+            is_atom = np.zeros(k, dtype=bool)
+            if term != "tail":
+                is_atom = rng.random(k) < atom / (model.tail_sum(start) + atom)
+            vals = np.empty(k)
+            vals[is_atom] = rng.random(int(np.count_nonzero(is_atom)))
+            rest = int(np.count_nonzero(~is_atom))
+            if rest:
+                idx = density._sample_tail_indices(rng, rest, start)
+                vals[~is_atom] = density._coordinate_for_indices(rng, idx)
+            x[mask] = vals
+    return x
+
+
+@pytest.mark.parametrize("kind,m,atom", [
+    ("spectral-mix", 5, 0.0), ("spectral-mix", 33, 0.3),
+    ("spectral-mix-atom", 5, 0.0), ("spectral-mix-atom", 12, 0.3),
+    ("kernel-diag", None, 0.3)])
+def test_fourier_draws_keep_the_bits_of_the_index_path(kind, m, atom):
+    # a Fourier tail term draws its index uniforms but never maps them, so
+    # no table is built; the nodes are those of the mapped index path
+    model = SpectralKernelModel(get_basis("fourier"), PolynomialDecay(1.0),
+                                atom_mass=atom)
+    for seed in (0, 3, 104):
+        for stream in (0, 7, 2 ** 33):
+            for n in (1, 40, 1500):
+                d = SamplingDensity(model, kind, m=m)
+                nodes = draw_nodes(d, n, seed, stream)
+                want = _indexed_sample(SamplingDensity(model, kind, m=m),
+                                       trial_rng(seed, stream), n)
+                # no collision, so draw_nodes made no second draw
+                assert np.unique(want).size == n
+                np.testing.assert_array_equal(nodes.x, want)
+                assert d._tail_table is None
+
+
+def _full_cap_indices(model, m0, u):
+    """Oracle: the indices a table built whole to its cap gives, with the
+    closed-form tail search past it."""
+    cap = model.rank if model.rank is not None else m0 + _TAIL_TABLE_CAP
+    ks = np.arange(m0, cap + 1)
+    total = model.tail_sum(m0)
+    cum = np.cumsum(model.eigenvalues(ks)) / total
+    pos = np.searchsorted(cum, u, side="left")
+    out = [ks[p] if p < ks.size
+           else model.rule.index_for_tail((1.0 - v) * total)
+           for p, v in zip(pos, u)]
+    return np.asarray(out, dtype=np.int64), cum
+
+
+def _table_size_for(cum, u):
+    """The size a grown table reaches for the largest uniform u."""
+    size = min(_TAIL_TABLE_START, cum.size)
+    while size < cum.size and cum[size - 1] < u:
+        size = min(2 * size, cum.size)
+    return size
+
+
+def _cosine_tail_cases():
+    cosine = get_basis("cosine")
+    return {
+        "sobolev": SpectralKernelModel(cosine, SobolevDecay(1.0)),
+        "poly": SpectralKernelModel(cosine, PolynomialDecay(0.8)),
+        # rank 300, below the first table size
+        "finite-rank": SpectralKernelModel(
+            cosine, ExplicitEigenvalues(1.0 / np.arange(1, 301) ** 2)),
+    }
+
+
+@pytest.mark.parametrize("name", sorted(_cosine_tail_cases()))
+@pytest.mark.parametrize("kind,m", [("kernel-diag", None),
+                                    ("spectral-mix", 6)])
+def test_grown_cosine_table_gives_the_full_cap_indices(name, kind, m):
+    model = _cosine_tail_cases()[name]
+    m0 = 1 if kind == "kernel-diag" else m
+    _, cum = _full_cap_indices(model, m0, np.zeros(0))
+    grid = np.linspace(0.0, 1.0, 201)[:-1]
+    # the last value of each smaller table, and one ulp either side
+    ends = cum[[s - 1 for s in (_TAIL_TABLE_START << np.arange(5))
+                if s < cum.size]]
+    edges = np.concatenate([np.nextafter(ends, 0.0), ends,
+                            np.nextafter(ends, 1.0)])
+    # past the cap's last value: the closed-form tail search
+    past = np.array([np.nextafter(cum[-1], 1.0), 0.5 * (cum[-1] + 1.0),
+                     1.0 - 1e-9])
+    past = past[past < 1.0]
+    u = np.concatenate([grid, edges, past])
+    want, _ = _full_cap_indices(model, m0, u)
+    if name == "finite-rank":
+        assert cum.size == 301 - m0 < _TAIL_TABLE_START
+    else:
+        assert past.size and ends.size == 5
+    for v, k in zip(u, want):
+        d = SamplingDensity(model, kind, m=m)
+        assert d._sample_tail_indices(_FixedUniforms([v]), 1, m0) == [k]
+        assert d._tail_table[1].size == _table_size_for(cum, v)
+        np.testing.assert_array_equal(d._tail_table[2],
+                                      cum[: d._tail_table[1].size])
+    # all at once, on one density
+    d = SamplingDensity(model, kind, m=m)
+    np.testing.assert_array_equal(
+        d._sample_tail_indices(_FixedUniforms(u), u.size, m0), want)
+
+
+def test_cached_tail_table_grows_across_calls_and_never_shrinks():
+    model = _cosine_tail_cases()["poly"]
+    d = SamplingDensity(model, "kernel-diag")
+    _, cum = _full_cap_indices(model, 1, np.zeros(0))
+    second = np.nextafter(cum[2 * _TAIL_TABLE_START - 1], 1.0)
+    first = np.nextafter(cum[_TAIL_TABLE_START - 1], 1.0)
+    sizes = []
+    for v in (0.2, second, 0.1, first, np.nextafter(cum[-1], 1.0), 0.3):
+        (k,) = d._sample_tail_indices(_FixedUniforms([v]), 1, 1)
+        assert k == _full_cap_indices(model, 1, [v])[0][0]
+        sizes.append(d._tail_table[1].size)
+    s = _TAIL_TABLE_START
+    assert sizes == [s, 4 * s, 4 * s, 4 * s, cum.size, cum.size]
+
+
+@pytest.mark.parametrize("kind", ["spectral-mix", "kernel-diag"])
+def test_cosine_draw_past_two_to_the_62_raises_through_sample(kind):
+    # a cosine draw reads its index, so an index past 2^62 still raises;
+    # a Fourier draw computes no index, and the same uniform is its node
+    u = _FixedUniforms([1.0 - 2.0 ** -53])
+    m = 5 if kind == "spectral-mix" else None
+    cosine = SpectralKernelModel(get_basis("cosine"), PolynomialDecay(0.8))
+    with pytest.raises(TruncationError):
+        SamplingDensity(cosine, kind, m=m)._sample(u, 1)
+    fourier = SpectralKernelModel(get_basis("fourier"), PolynomialDecay(0.8))
+    x, _ = SamplingDensity(fourier, kind, m=m)._sample(u, 1)
+    np.testing.assert_array_equal(x, u.u)
 
 
 def test_normalized_view_budgets():

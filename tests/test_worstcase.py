@@ -397,7 +397,7 @@ _CAP_CONFIGS = {
 }
 
 
-def _capped_value_sq_bits(monkeypatch, text, steps):
+def _cap_config_wces(monkeypatch, text, steps):
     from rkhslab import experiment as ex
     monkeypatch.setattr(worstcase, "_SECULAR_STEPS", steps)
     cfg = ex.build_config(ex.parse_config(text))
@@ -409,10 +409,14 @@ def _capped_value_sq_bits(monkeypatch, text, steps):
         for t in range(cfg.trials):
             nodes = draw_nodes(density, n, cfg.seed,
                                g * ex._SWEEP_STREAM_STRIDE + t)
-            wce = exact_wce_recovery(model, density, nodes, m,
-                                     trunc=cfg.trunc)
-            out.append(wce.value_sq.hex())
+            out.append(exact_wce_recovery(model, density, nodes, m,
+                                          trunc=cfg.trunc))
     return out
+
+
+def _capped_value_sq_bits(monkeypatch, text, steps):
+    return [wce.value_sq.hex()
+            for wce in _cap_config_wces(monkeypatch, text, steps)]
 
 
 @pytest.mark.parametrize("name", sorted(_CAP_CONFIGS))
@@ -423,3 +427,72 @@ def test_secular_step_cap_is_not_reached_on_benchmark_configs(monkeypatch,
     text = _CAP_CONFIGS[name]
     at_cap = _capped_value_sq_bits(monkeypatch, text, 90)
     assert _capped_value_sq_bits(monkeypatch, text, 12) == at_cap
+
+
+@pytest.mark.parametrize("name", sorted(_CAP_CONFIGS))
+def test_secular_step_cap_flag_is_clear_on_benchmark_configs(monkeypatch,
+                                                             name):
+    wces = _cap_config_wces(monkeypatch, _CAP_CONFIGS[name], 90)
+    assert wces
+    for wce in wces:
+        assert not wce.secular_capped
+        assert 0.0 <= wce.secular_width <= worstcase._SECULAR_WIDTH
+
+
+def _secular_replay(d, C, steps):
+    """Oracle: the secular solve of _lowrank_plus_diag_norm with at most
+    ``steps`` probes, as (upper bracket end, relative bracket width)."""
+    gram_small = C @ C.conj().T
+    big = float(np.linalg.eigvalsh(0.5 * (gram_small
+                                          + gram_small.conj().T))[-1])
+    d_max = float(d.max())
+
+    def top(mu):
+        scaled = C * (1.0 / (mu - d))[None, :]
+        w = scaled @ C.conj().T
+        vals, vecs = np.linalg.eigh(0.5 * (w + w.conj().T))
+        return (float(vals[-1]),
+                float(np.sum(np.abs(vecs[:, -1].conj() @ scaled) ** 2)))
+
+    lo = d_max + 1e-13 * max(d_max, big)
+    val, slope = top(lo)
+    assert val >= 1.0
+    hi = d_max + big + 1e-30
+    nudge_rel = 0.1 * worstcase._SECULAR_WIDTH
+    for _ in range(steps):
+        if hi - lo <= worstcase._SECULAR_WIDTH * hi:
+            break
+        if slope > 0.0:
+            mu = min(max(lo + val * (val - 1.0) / slope,
+                         lo + nudge_rel * hi), hi - nudge_rel * hi)
+        else:
+            mu = 0.5 * (lo + hi)
+        v, sl = top(mu)
+        if v >= 1.0:
+            lo, val, slope = mu, v, sl
+        else:
+            hi = mu
+    return hi, (hi - lo) / hi
+
+
+@pytest.mark.parametrize("steps", [0, 3])
+@pytest.mark.parametrize("seed", [0, 5])
+def test_secular_step_cap_is_reported(monkeypatch, steps, seed):
+    # the flag and the width are reported beside the value, which keeps the
+    # bits of the capped solve
+    model = fourier_poly()
+    density = SamplingDensity(model, "plain")
+    nodes = draw_nodes(density, 400, seed=seed)
+    _, C, d, _, _, _ = worstcase._recovery_parts(model, density, nodes, 121,
+                                                 128, None)
+    monkeypatch.setattr(worstcase, "_SECULAR_STEPS", steps)
+    wce = exact_wce_recovery(model, density, nodes, 121, trunc=128)
+    value, width = _secular_replay(d, C, steps)
+    assert wce.value_sq.hex() == value.hex()
+    assert wce.secular_capped
+    assert wce.secular_width == width > worstcase._SECULAR_WIDTH
+    monkeypatch.setattr(worstcase, "_SECULAR_STEPS", 90)
+    closed = exact_wce_recovery(model, density, nodes, 121, trunc=128)
+    assert not closed.secular_capped
+    assert closed.secular_width <= worstcase._SECULAR_WIDTH
+    assert closed.value_sq.hex() == _secular_replay(d, C, 90)[0].hex()
