@@ -27,7 +27,8 @@ from .densities import (BUDGET_KINDS, SamplingDensity, draw_nodes,
 from .errors import ConfigError, DegenerateDensityError, RankDeficientError
 from .kernels import (BASES, ExplicitEigenvalues, GeometricDecay,
                       PolynomialDecay, SobolevDecay, SpectralKernelModel)
-from .leastsq import assemble_design, gram_eig_check, gram_spectrum
+from .leastsq import (assemble_design, gram_design, gram_eig_check,
+                      gram_spectrum)
 from .worstcase import (FAIL_MULT, bound, choose_m, exact_wce_discretization,
                         exact_wce_recovery, max_m_under, mode_budget,
                         model_bound_inputs, wce_nullspace_component)
@@ -456,7 +457,8 @@ def _recovery_point(cfg, model, n, names, g=0):
                    atom_bound_value=atom_val, atom_exceeded=1)
 
     def trial(nodes):
-        ds = assemble_design(model, density, nodes, m)
+        ds = (gram_design(model, density, nodes, m)
+              or assemble_design(model, density, nodes, m))
         wce = exact_wce_recovery(model, density, nodes, m, trunc=cfg.trunc,
                                  design=ds)
         # without an atom, the flagged record's nullspace fields stand

@@ -4,27 +4,34 @@ The approximant lives in span{eta_1, ..., eta_{m-1}}.  Rows of the design L
 are the basis functions at the nodes divided by sqrt(density); a node with
 zero density contributes a zero row (same convention for the samples).  The
 Gram H = (1/n) L* L concentrates around the identity for a suitable density.
-The eigenvalue check reads H alone: ``gram_spectrum`` takes its extreme
-eigenvalues from the weighted moments of ``weighted_gram`` with weights
-1/density, and never forms L.  Recovery factors L once, L = QR, and reads
-the triangle R: its singular values are those of L, so they give the rank
-test at a ratio the Gram, with its squared condition number, cannot
-resolve, and solves with L* L = R* R are two triangular solves.  R comes
-from a row-blocked tall-skinny QR (Demmel, Grigori, Hoemmen & Langou 2012):
-Householder QR (Golub & Van Loan 5.2) of cache-sized row blocks, then of
-their stacked triangles; Q is never formed.  L itself is never held whole:
-each row block is evaluated, weighted and factored in turn, and
-``DesignSystem.matrix`` builds L only for ``dump_design`` and the tests.
-The fit alone factors again: R of [L g] holds R of L and, in its last
-column, Q* g for the implicit Q of the block reflectors (Golub 1965), so it
-stays backward stable at any condition number the rank test accepts; no
-design keeps Q.  scipy.linalg is imported by the first factorization or
-triangular solve, so a run that makes neither never loads it.
+H itself comes from the weighted moments of ``weighted_gram`` with weights
+1/density, without forming L, and ``_moment_gram`` takes its eigenvalues.
+The eigenvalue check reads no more than those (``gram_spectrum``).
+Recovery solves with L* L = R* R for an upper triangle R, in one of two
+ways.  Where the moment Gram's spectrum certifies the rank test
+(``gram_design``: lambda_min > GRAM_RTOL lambda_max), R is its Cholesky
+factor; the Gram is then well conditioned, and the Cholesky factor is as
+accurate as the QR triangle (CholeskyQR, Yamamoto, Nakatsukasa, Yanagisawa
+& Fukaya 2015), so no design row is evaluated.  Elsewhere
+(``assemble_design``) L is factored, L = QR, and R's singular values, those
+of L, give the rank test at a ratio the Gram, with its squared condition
+number, cannot resolve.  That R comes from a row-blocked tall-skinny QR
+(Demmel, Grigori, Hoemmen & Langou 2012): Householder QR (Golub & Van Loan
+5.2) of cache-sized row blocks, then of their stacked triangles; Q is never
+formed.  L itself is never held whole: each row block is evaluated,
+weighted and factored in turn, and ``DesignSystem.matrix`` builds L only
+for ``dump_design`` and the tests.
+The fit alone factors again, whichever R the design holds: R of [L g] holds
+R of L and, in its last column, Q* g for the implicit Q of the block
+reflectors (Golub 1965), so it stays backward stable at any condition
+number the rank test accepts; no design keeps Q.  scipy.linalg is imported
+by the first QR or triangular solve, so a run that makes neither never
+loads it.
 """
 
 import csv
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -33,6 +40,8 @@ from .errors import RankDeficientError
 
 # columns below this singular-value ratio make the trial unusable
 RANK_RTOL = 1e-10
+# moment Grams whose eigenvalue ratio exceeds this are factored by Cholesky
+GRAM_RTOL = 1e-2
 _QR_BLOCK_BYTES = 1 << 20  # bytes per row block of the blocked QR
 
 
@@ -44,22 +53,27 @@ def get_lapack_funcs(names, arrays):
 
 @dataclass
 class DesignSystem:
-    """Design L, its factor R (L = QR) and R's singular values, descending.
+    """Design L, an upper triangle R with R*R = L*L, and R's singular
+    values, which are those of L, descending.
 
     L is kept as what makes its rows, the basis functions ``indices`` at
-    the nodes ``x`` scaled by ``weights``, and R is factored from them."""
+    the nodes ``x`` scaled by ``weights``.  Unless a factor is given (the
+    Cholesky factor of ``gram_design``), R is that of L = QR, factored
+    from those rows."""
 
     basis: object
     indices: np.ndarray
     x: np.ndarray
     weights: np.ndarray
-    factor: np.ndarray = field(init=False)
-    svals: np.ndarray = field(init=False)
+    factor: np.ndarray = None
+    svals: np.ndarray = None
 
     def __post_init__(self):
-        self.factor = _streamed_triangle(self.rows, self.n, self.indices.size,
-                                         self.basis.dtype)
-        self.svals = np.linalg.svd(self.factor, compute_uv=False)
+        if self.factor is None:
+            self.factor = _streamed_triangle(self.rows, self.n,
+                                             self.indices.size,
+                                             self.basis.dtype)
+            self.svals = np.linalg.svd(self.factor, compute_uv=False)
 
     @property
     def n(self):
@@ -193,31 +207,69 @@ def _weighted_span(nodes, m):
                           1.0 / np.sqrt(np.where(rho > 0.0, rho, 1.0)), 0.0)
 
 
+def _distinct_span(nodes, m):
+    """``_weighted_span`` of a design, whose nodes must be distinct."""
+    m, n, weights = _weighted_span(nodes, m)
+    if np.unique(nodes.x).size != n:
+        raise ValueError("nodes must be distinct")
+    return m, n, weights
+
+
 def assemble_design(model, density, nodes, m):
     """Make the weighted design system; its rows are factored as they are
     evaluated.
 
     Never raises on rank deficiency; callers inspect ``full_rank`` and flag
     the trial."""
-    m, n, weights = _weighted_span(nodes, m)
-    if np.unique(nodes.x).size != n:
-        raise ValueError("nodes must be distinct")
+    m, n, weights = _distinct_span(nodes, m)
     return DesignSystem(basis=model.basis, indices=np.arange(1, m),
                         x=nodes.x, weights=weights)
 
 
+def _moment_gram(model, x, m, n, weights):
+    """The Gram (1/n) L*L of the design with rows weighted by ``weights``
+    at the nodes x, and its eigenvalues, ascending.  The Gram is
+    weighted_gram(1..m-1, 1..m-1, x, weights^2) / n: no row of L is made."""
+    span = np.arange(1, m)
+    gram = model.basis.weighted_gram(span, span, x, weights * weights) / n
+    return gram, np.linalg.eigvalsh(gram)
+
+
 def gram_spectrum(model, nodes, m):
     """GramSpectrum of the design that ``assemble_design`` makes, without
-    making it: eigvalsh of weighted_gram(1..m-1, 1..m-1, x, w^2) / n for
-    the row weights w is (1/n) L*L.  eigvalsh of a singular Gram can
+    making it, from ``_moment_gram``.  eigvalsh of a singular Gram can
     return -1e-17, so lambda_min is clamped at 0."""
     m, n, weights = _weighted_span(nodes, m)
-    span = np.arange(1, m)
-    eigs = np.linalg.eigvalsh(model.basis.weighted_gram(
-        span, span, nodes.x, weights * weights) / n)
+    _, eigs = _moment_gram(model, nodes.x, m, n, weights)
     low = float(eigs[0])
     return GramSpectrum(n=n, lambda_min=low if low > 0.0 else 0.0,
                         lambda_max=float(eigs[-1]))
+
+
+def gram_design(model, density, nodes, m):
+    """The design of ``assemble_design`` with R the Cholesky factor of the
+    moment Gram, or None where its spectrum does not certify the rank test;
+    the caller then factors L (``gram_design(...) or assemble_design(...)``).
+
+    The moments and ``eigvalsh`` put an error of about (top + k) eps
+    lambda_max on each eigenvalue of the Gram, for k = m - 1 columns and
+    ``top`` the highest frequency of the moments.  Above lambda_min >
+    GRAM_RTOL lambda_max = 1e-2 lambda_max that error is far below
+    lambda_min, so sigma_min / sigma_max > 0.1 and the QR's rank test at
+    RANK_RTOL = 1e-10 would pass too: no trial's flag changes.  The
+    Cholesky factor's backward error is about k eps lambda_max (Higham,
+    Accuracy and Stability of Numerical Algorithms, ch. 10), so a solve
+    with R*R moves by about (top + k) eps / GRAM_RTOL relative, far inside
+    the 1e-10 to which outputs are compared."""
+    m, n, weights = _distinct_span(nodes, m)
+    gram, eigs = _moment_gram(model, nodes.x, m, n, weights)
+    if not eigs[0] > GRAM_RTOL * eigs[-1]:
+        return None
+    return DesignSystem(basis=model.basis, indices=np.arange(1, m),
+                        x=nodes.x, weights=weights,
+                        factor=np.linalg.cholesky(gram).conj().T
+                        * math.sqrt(n),
+                        svals=np.sqrt(n * eigs[::-1]))
 
 
 def recover(model, density, nodes, m, samples, design=None):

@@ -29,7 +29,7 @@ import numpy as np
 from .concentration import (CHERNOFF_DENOM, CHERNOFF_MULT,
                             DEVIATION_CONSTANTS, KAPPA_SQ, deviation_level)
 from .densities import spectral_budget
-from .leastsq import assemble_design
+from .leastsq import assemble_design, gram_design
 
 # multiplier in the recovery failure probability FAIL_MULT * n^(1-r)
 FAIL_MULT = CHERNOFF_MULT + 1.0
@@ -190,8 +190,9 @@ def _lowrank_plus_diag_norm(d, C):
 
 
 def _recovery_parts(model, density, nodes, m, trunc, design):
-    ds = design if design is not None else assemble_design(model, density,
-                                                           nodes, m)
+    ds = design if design is not None else (
+        gram_design(model, density, nodes, m)
+        or assemble_design(model, density, nodes, m))
     w = ds.weights
     N = _pick_trunc(model, trunc, m - 1)
     sig = model.singular_values(np.arange(1, N + 1))

@@ -667,3 +667,31 @@ def test_a_column_mixing_ints_and_floats_is_refused():
     recs = [{"trial": 0, "x": 1}, {"trial": 1, "x": 1.0}]
     with pytest.raises(TypeError, match="only ints or only floats"):
         ex._report(build(RECOVER_CFG), ["trial", "x"], recs, {})
+
+
+@pytest.mark.parametrize("basis", ["fourier", "cosine"])
+def test_recovery_trials_factor_the_certified_moment_gram(monkeypatch, basis):
+    # every trial's Gram is certified, so no design row is evaluated, and
+    # each cell is that of the streamed QR's run within 1e-12
+    text = (RECOVER_CFG.replace("basis = fourier", "basis = " + basis)
+            .replace("decay = poly", "decay = sobolev")
+            .replace("density = spectral-mix",
+                     "density = spectral-mix-atom\natom_mass = 0.3")
+            .replace("n = 120", "n = 300").replace("trials = 4", "trials = 3"))
+    monkeypatch.setattr(ex, "gram_design", lambda *args: None)
+    want = ex.run(build(text))
+    monkeypatch.undo()
+
+    def rows(self, lo, hi):
+        raise AssertionError("a design row was evaluated")
+
+    monkeypatch.setattr(rkhslab.leastsq.DesignSystem, "rows", rows)
+    got = ex.run(build(text))
+    assert got.header == want.header
+    for (cells, is_int), (ref, _) in zip(got.rows.columns(),
+                                         want.rows.columns()):
+        if is_int:
+            assert cells == ref
+        else:
+            np.testing.assert_allclose(cells, ref, rtol=1e-12, atol=0.0)
+    assert not any(row[got.header.index("flagged")] for row in got.rows)

@@ -8,8 +8,9 @@ from scipy.linalg import get_lapack_funcs, solve_triangular
 from rkhslab import leastsq
 from rkhslab import (PolynomialDecay, RankDeficientError, SamplingDensity,
                      SobolevDecay, SpectralKernelModel, assemble_design,
-                     draw_nodes, dump_design, get_basis, gram_eig_check,
-                     nodes_from_points, recover)
+                     draw_nodes, dump_design, exact_wce_recovery, get_basis,
+                     gram_eig_check, nodes_from_points, recover,
+                     wce_nullspace_component)
 
 
 def fourier_model():
@@ -450,3 +451,77 @@ def test_streamed_design_factor_matches_the_whole_design(
     assert np.array_equal(got.values, want)
     assert got.residual_norm == pytest.approx(
         np.linalg.norm(matrix @ got.values - g), rel=1e-12)
+
+
+@pytest.mark.parametrize("model_of", [fourier_model, cosine_model])
+@pytest.mark.parametrize("kind", ["plain", "spectral-mix"])
+@pytest.mark.parametrize("n, m", [(300, 10), (16384, 60)])
+def test_gram_design_matches_the_factored_design(model_of, kind, n, m):
+    # the streamed QR is the oracle: the Cholesky factor of the moment Gram
+    # gives the same spectrum, solves, worst-case value and nullspace part
+    model = model_of()
+    density = SamplingDensity(model, kind, m=m)
+    nodes = draw_nodes(density, n, seed=m)
+    got = leastsq.gram_design(model, density, nodes, m)
+    want = assemble_design(model, density, nodes, m)
+    assert got is not None and got.full_rank
+    assert np.array_equal(got.weights, want.weights)
+    assert np.array_equal(got.indices, want.indices)
+    assert np.array_equal(got.factor, np.triu(got.factor))
+    for key in ("lambda_min", "lambda_max"):
+        assert getattr(got, key) == pytest.approx(getattr(want, key),
+                                                  rel=1e-12, abs=0.0)
+    for method in ("eig", "svd"):
+        assert got.pinv_norm(method) == pytest.approx(
+            want.pinv_norm(method), rel=1e-12, abs=0.0)
+    np.testing.assert_allclose(got.gram, want.gram, rtol=0.0, atol=1e-12)
+    rhs = np.random.default_rng(m).standard_normal((m - 1, 3))
+    solved = want.solve(rhs)
+    assert (np.linalg.norm(got.solve(rhs) - solved)
+            <= 1e-12 * np.linalg.norm(solved))
+    wces = [exact_wce_recovery(model, density, nodes, m, trunc=512,
+                               design=ds) for ds in (got, want)]
+    assert wces[0].value_sq == pytest.approx(wces[1].value_sq, rel=1e-12,
+                                             abs=0.0)
+    assert wces[0].upper_sq == pytest.approx(wces[1].upper_sq, rel=1e-12,
+                                             abs=0.0)
+    nulls = [wce_nullspace_component(0.3, nodes, ds) for ds in (got, want)]
+    assert nulls[0].component == pytest.approx(nulls[1].component,
+                                               rel=1e-12, abs=0.0)
+    assert nulls[0].within_envelope == nulls[1].within_envelope
+
+
+@pytest.mark.parametrize("model_of", [fourier_model, cosine_model])
+@pytest.mark.parametrize("gap", [1e-10, 1e-12])
+def test_clustered_designs_fall_back_to_the_streamed_qr(model_of, gap):
+    # pairs 1e-10 apart pass the QR's rank test at a condition number near
+    # 1e9, and pairs 1e-12 apart fail it; the moment Gram certifies neither,
+    # so recovery reads the QR's bits or raises, as with the QR alone
+    model = model_of()
+    density = SamplingDensity(model, "plain")
+    nodes = clustered_nodes(density, gap)
+    assert leastsq.gram_design(model, density, nodes, 7) is None
+    qr = assemble_design(model, density, nodes, 7)
+    assert qr.full_rank == (gap == 1e-10)
+    if not qr.full_rank:
+        with pytest.raises(RankDeficientError):
+            exact_wce_recovery(model, density, nodes, 7, trunc=64)
+        return
+    got = exact_wce_recovery(model, density, nodes, 7, trunc=64)
+    want = exact_wce_recovery(model, density, nodes, 7, trunc=64, design=qr)
+    assert got == want
+    assert got.value_sq.hex() == want.value_sq.hex()
+
+
+def test_gram_design_checks_its_nodes_as_the_factored_design():
+    model = cosine_model()
+    density = SamplingDensity(model, "plain")
+    nodes = nodes_from_points(density, np.array([0.1, 0.5, 0.7]))
+    for m in (1, 5):  # empty span, m-1 > n
+        with pytest.raises(ValueError):
+            leastsq.gram_design(model, density, nodes, m)
+    nodes.x = np.array([0.1, 0.5, 0.5])
+    with pytest.raises(ValueError, match="distinct"):
+        leastsq.gram_design(model, density, nodes, 3)
+    with pytest.raises(ValueError, match="distinct"):
+        assemble_design(model, density, nodes, 3)

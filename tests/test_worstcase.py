@@ -496,3 +496,27 @@ def test_secular_step_cap_is_reported(monkeypatch, steps, seed):
     assert not closed.secular_capped
     assert closed.secular_width <= worstcase._SECULAR_WIDTH
     assert closed.value_sq.hex() == _secular_replay(d, C, 90)[0].hex()
+
+
+def test_secular_step_cap_after_the_upper_end_moved(monkeypatch):
+    # on this case the upper bracket end first moves at the fourth probe
+    # and leaves a bracket 1.9e-11 wide, so a cap of 4 steps returns a
+    # moved upper end that the bracket has not closed on
+    model = fourier_poly()
+    density = SamplingDensity(model, "plain")
+    nodes = draw_nodes(density, 2000, seed=2)
+    monkeypatch.setattr(worstcase, "_SECULAR_STEPS", 0)
+    start = exact_wce_recovery(model, density, nodes, 30, trunc=512)
+    monkeypatch.setattr(worstcase, "_SECULAR_STEPS", 4)
+    wce = exact_wce_recovery(model, density, nodes, 30, trunc=512)
+    em = recovery_error_matrix(model, density, nodes, 30, trunc=512)
+    top_sq = float(np.linalg.svd(em.matrix, compute_uv=False)[0]) ** 2
+    assert wce.secular_capped
+    assert 1e-12 < wce.secular_width < 1e-10
+    assert wce.value_sq != start.value_sq
+    # the dense SVD and the solve's eigh sign tests each round at about
+    # N eps, so the value may sit a few ulps under the SVD's top^2 (the
+    # closed bracket does too); an allowance of 1e-13 is far narrower than
+    # the bracket, whose lower end falls outside it
+    assert wce.value_sq >= top_sq * (1.0 - 1e-13)
+    assert wce.value_sq * (1.0 - wce.secular_width) < top_sq * (1.0 - 1e-13)
