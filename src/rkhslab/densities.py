@@ -58,10 +58,13 @@ class NodeSet:
     x: np.ndarray
     density_values: np.ndarray
     kind: str
-    n: int
     seed: int = 0
     stream: int = 0
     component_counts: dict = field(default_factory=dict)
+
+    @property
+    def n(self):
+        return self.x.size
 
     def save(self, path):
         with open(path, "w", newline="", encoding="utf-8") as fh:
@@ -79,8 +82,7 @@ class NodeSet:
             for row in r:
                 xs.append(float(row[1]))
                 ds.append(float(row[2]))
-        x = np.asarray(xs)
-        return cls(x=x, density_values=np.asarray(ds), kind=kind, n=x.size)
+        return cls(x=np.asarray(xs), density_values=np.asarray(ds), kind=kind)
 
 
 class SamplingDensity:
@@ -362,19 +364,17 @@ def draw_nodes(density, count, seed, stream=0):
     vals = density.evaluate(x)
     if np.any(vals <= 0.0):
         raise DegenerateDensityError("drew a node with non-positive density")
-    return NodeSet(x=x, density_values=vals, kind=density.kind, n=count,
-                   seed=int(seed), stream=int(stream),
-                   component_counts=tally)
+    return NodeSet(x=x, density_values=vals, kind=density.kind,
+                   seed=int(seed), stream=int(stream), component_counts=tally)
 
 
 def nodes_from_points(density, x):
     """Wrap explicitly chosen points (tests, reproductions) as a NodeSet."""
-    x = np.asarray(x, dtype=float)
-    x = density.model.domain.canonical(x)
+    x = density.model.basis.canonical(x)
     if np.unique(x).size != x.size:
         raise ValueError("points must be distinct")
     vals = density.evaluate(x)
-    return NodeSet(x=x, density_values=vals, kind=density.kind, n=x.size)
+    return NodeSet(x=x, density_values=vals, kind=density.kind)
 
 
 class NormalizedKernelView:

@@ -258,78 +258,72 @@ def within_budget(count, trials, budget):
 
 
 class TrialTable(Sequence):
-    """A read-only table of numeric rows, held as one int64 block and one
-    float64 block of columns.
+    """A read-only table of numeric rows, held as one NumPy record array
+    whose int64 and float64 fields are the columns.
 
     Every cell is a number: an int (a flag too, as 0 or 1) or a float, and
     each column holds one of the two.  Indexing and iteration give tuples of
     Python ``int`` and ``float``.
     """
 
-    __slots__ = ("_floats", "_ints", "_perm")
+    __slots__ = ("_rows",)
 
     def __init__(self, columns):
         """``columns``: each column's cells, in header order; a column of
-        ints (bools included) goes to the int64 block, one of floats to the
-        float64 block, and any other column raises TypeError."""
-        blocks, is_int = ([], []), []
+        ints (bools included) becomes an int64 field, one of floats a
+        float64 field, and any other column raises TypeError."""
+        is_int = []
         for cells in columns:
             types = set(map(type, cells))
             if all(issubclass(t, (int, np.integer)) for t in types):
-                kind = True
+                is_int.append(True)
             elif all(issubclass(t, (float, np.floating)) for t in types):
-                kind = False
+                is_int.append(False)
             else:
                 raise TypeError("a table column must hold only ints or only "
                                 "floats, not %s" % ", ".join(
                                     sorted(t.__name__ for t in types)))
-            blocks[kind].append(cells)
-            is_int.append(kind)
-        rows = len(columns[0]) if columns else 0
-        # a reshaped view would keep a second array object alive
-        self._floats, self._ints = (
-            np.array(cells, dtype=dtype) if cells else np.empty((0, rows),
-                                                                dtype=dtype)
-            for cells, dtype in zip(blocks, (np.float64, np.int64)))
-        self._perm = _row_order(tuple(is_int))
+        self._rows = np.empty(len(columns[0]) if columns else 0,
+                              dtype=_row_dtype(tuple(is_int)))
+        for name, cells in zip(self._rows.dtype.names, columns):
+            self._rows[name] = cells
 
     def __len__(self):
-        return self._floats.shape[1]
+        return len(self._rows)
 
     def __getitem__(self, i):
-        if isinstance(i, slice):
-            return [self[j] for j in range(*i.indices(len(self)))]
-        cells = self._floats[:, i].tolist() + self._ints[:, i].tolist()
-        return tuple([cells[p] for p in self._perm])
+        # a record's tolist() is its tuple, a slice's the list of them
+        return self._rows[i].tolist()
 
     def columns(self):
         """(cells, is_int) of each column in header order, the cells as
         Python numbers."""
-        cells = self._floats.tolist() + self._ints.tolist()
-        return [(cells[p], p >= len(self._floats)) for p in self._perm]
+        return [(self._rows[name].tolist(), self._rows.dtype[name].kind == "i")
+                for name in self._rows.dtype.names]
 
     def __iter__(self):
-        return zip(*(cells for cells, _is_int in self.columns()))
+        return iter(self._rows.tolist())
 
     def __eq__(self, other):
         """Same column kinds and cells; a nan cell equals a nan cell."""
         if not isinstance(other, TrialTable):
             return NotImplemented
-        return (self._perm == other._perm
-                and np.array_equal(self._ints, other._ints)
-                and np.array_equal(self._floats, other._floats,
-                                   equal_nan=True))
+        return (self._rows.dtype == other._rows.dtype
+                and all(np.array_equal(self._rows[name], other._rows[name],
+                                       equal_nan=True)
+                        for name in self._rows.dtype.names))
 
     def __repr__(self):
         return repr(list(self))
 
 
 @functools.lru_cache(maxsize=None)
-def _row_order(is_int):
-    """Where each column sits among a row's float cells followed by its int
-    cells; one shared tuple per column layout, as every run's tables of one
-    kind share it."""
-    return tuple(np.argsort(is_int, kind="stable").argsort().tolist())
+def _row_dtype(is_int):
+    """The record dtype of a table's rows, an int64 field for each column
+    where ``is_int`` holds and a float64 one elsewhere; one shared dtype per
+    column layout, as every run's tables of one kind share it."""
+    return np.dtype([("", np.int64 if flag else np.float64)
+                     for flag in is_int])
 
 
 def write_rows_csv(path, header, rows):
@@ -574,7 +568,7 @@ def run_eigcheck(cfg):
     density = SamplingDensity(model, cfg.density, m=m)
 
     def trial(nodes):
-        chk = gram_eig_check(gram_spectrum(model, nodes, m), r=cfg.r)
+        chk = gram_eig_check(gram_spectrum(model, nodes, m))
         return {"m": m, "lambda_min": chk["lambda_min"],
                 "lambda_max": chk["lambda_max"],
                 "pinv_norm": chk["pinv_norm"], "eig_ok": int(chk["eig_ok"]),

@@ -30,7 +30,6 @@ directly.
 """
 
 import math
-from dataclasses import dataclass
 from functools import cached_property, lru_cache
 
 import numpy as np
@@ -41,26 +40,6 @@ TWO_PI = 2.0 * math.pi
 _EPS_TRUNC_REL = 1e-10  # truncation tolerance relative to the trace
 _TERNARY_STEPS = 40  # refinement steps after the grid scan of grid_maximum
 _NODE_BLOCK = 1024  # nodes per pair of split tables
-
-
-@dataclass(frozen=True)
-class Domain:
-    """Reference domain carrying the uniform probability measure."""
-
-    kind: str  # "torus-1d" | "unit-interval"
-
-    def contains(self, x):
-        x = np.asarray(x, dtype=float)
-        if self.kind == "torus-1d":
-            return np.isfinite(x)
-        return (x >= 0.0) & (x <= 1.0)
-
-    def canonical(self, x):
-        """Map points to the fundamental domain, rejecting outsiders."""
-        x = np.asarray(x, dtype=float)
-        if not np.all(self.contains(x)):
-            raise DomainError("point outside the %s domain" % self.kind)
-        return np.mod(x, 1.0) if self.kind == "torus-1d" else x
 
 
 # ---------------------------------------------------------------------------
@@ -357,9 +336,16 @@ class FourierBasis:
     """
 
     name = "fourier"
-    domain = Domain("torus-1d")
     sup_eta_sq = 1.0
     dtype = np.dtype(complex)  # of eval_block's values
+
+    @staticmethod
+    def canonical(x):
+        """Points reduced mod 1; a non-finite one raises DomainError."""
+        x = np.asarray(x, dtype=float)
+        if not np.all(np.isfinite(x)):
+            raise DomainError("point outside the torus-1d domain")
+        return np.mod(x, 1.0)
 
     @staticmethod
     def frequency(k):
@@ -368,7 +354,7 @@ class FourierBasis:
 
     def eval_block(self, ks, x):
         ks = np.atleast_1d(np.asarray(ks, dtype=np.int64))
-        x = self.domain.canonical(np.atleast_1d(x))
+        x = self.canonical(np.atleast_1d(x))
         freqs = self.frequency(ks)
         mags = np.abs(freqs)
         lo = int(mags.min())
@@ -383,7 +369,7 @@ class FourierBasis:
         The entry is the moment S(f_k - f_j) at theta = 2 pi x; the real
         weights make S(-f) the conjugate of S(f).
         """
-        x = self.domain.canonical(np.atleast_1d(x))
+        x = self.canonical(np.atleast_1d(x))
         diff = (self.frequency(np.atleast_1d(cols))[None, :]
                 - self.frequency(np.atleast_1d(rows))[:, None])
         moments = _weighted_moments(TWO_PI * x, np.asarray(v, dtype=float),
@@ -400,7 +386,7 @@ class FourierBasis:
         wrap into a circulant of power-of-two size L >= 2N - 1 (Strang 1986),
         so each product is one FFT pair.
         """
-        x = self.domain.canonical(np.atleast_1d(x))
+        x = self.canonical(np.atleast_1d(x))
         pos = self.frequency(np.arange(1, N + 1)) + (N - 1) // 2
         size = 1 << (2 * N - 2).bit_length()
         moments = _weighted_moments(TWO_PI * x, np.asarray(v, dtype=float),
@@ -479,13 +465,20 @@ class CosineBasis:
     """
 
     name = "cosine"
-    domain = Domain("unit-interval")
     sup_eta_sq = 2.0
     dtype = np.dtype(float)  # of eval_block's values
 
+    @staticmethod
+    def canonical(x):
+        """Points of [0, 1] as they are; one outside raises DomainError."""
+        x = np.asarray(x, dtype=float)
+        if not np.all((x >= 0.0) & (x <= 1.0)):
+            raise DomainError("point outside the unit-interval domain")
+        return x
+
     def eval_block(self, ks, x):
         ks = np.atleast_1d(np.asarray(ks, dtype=np.int64))
-        x = self.domain.canonical(np.atleast_1d(x))
+        x = self.canonical(np.atleast_1d(x))
         freqs = ks - 1
         lo = int(freqs.min())
         out = _power_rows(x, 2.0, lo, int(freqs.max())).real[freqs - lo].T
@@ -499,7 +492,7 @@ class CosineBasis:
         2 cos cos = cos(difference) + cos(sum) makes the entry
         s_a s_b (Cm(|a-b|) + Cm(a+b)), where Cm = Re S at theta = pi x.
         """
-        x = self.domain.canonical(np.atleast_1d(x))
+        x = self.canonical(np.atleast_1d(x))
         a = np.atleast_1d(np.asarray(rows, dtype=np.int64)) - 1
         b = np.atleast_1d(np.asarray(cols, dtype=np.int64)) - 1
         cm = _weighted_moments(math.pi * x, np.asarray(v, dtype=float),
@@ -519,7 +512,7 @@ class CosineBasis:
         the Hankel one with y_b moved to L - b.  The sum of y and its mirror
         takes one rfft and one irfft per product.
         """
-        x = self.domain.canonical(np.atleast_1d(x))
+        x = self.canonical(np.atleast_1d(x))
         size = 1 << (3 * N - 3).bit_length()
         cm = _weighted_moments(math.pi * x, np.asarray(v, dtype=float),
                                2 * N - 2).real
@@ -552,7 +545,7 @@ class CosineBasis:
     def spectral_sum_at(self, m, x):
         """sum_{k < m} |eta_k(x)|^2 = (m - 1) + sum_{f=1}^{m-2} cos(2 pi f x),
         from |eta_k|^2 = 1 + cos(2 pi (k-1) x) for k >= 2."""
-        x = self.domain.canonical(x)
+        x = self.canonical(x)
         if m <= 1:
             return np.zeros(x.shape)
         coef = np.concatenate([[0.0], np.ones(m - 2)])
@@ -606,7 +599,7 @@ class CosineBasis:
 
     def weighted_tail_at(self, rule, m, x):
         """(sum_{k >= m} lambda_k |eta_k(x)|^2, residual bound)."""
-        x = self.domain.canonical(np.atleast_1d(x))
+        x = self.canonical(np.atleast_1d(x))
         if m <= 1:
             v, r = self.weighted_tail_at(rule, 2, x)
             return rule.value(1) + v, r
@@ -617,7 +610,7 @@ class CosineBasis:
     def weighted_head_at(self, rule, dim, x):
         """sum_{k <= dim} lambda_k |eta_k(x)|^2: the eigenvalue sum plus
         one (dim - 1)-term cosine series."""
-        x = self.domain.canonical(np.atleast_1d(x))
+        x = self.canonical(np.atleast_1d(x))
         head = float(np.sum(rule.values(np.arange(1, dim + 1))))
         return head + _freq_series(rule, 2, dim, TWO_PI * x).real
 
@@ -746,10 +739,6 @@ class SpectralKernelModel:
     # -- scalar spectral data ------------------------------------------------
 
     @property
-    def domain(self):
-        return self.basis.domain
-
-    @property
     def rank(self):
         return self.rule.rank
 
@@ -794,8 +783,8 @@ class SpectralKernelModel:
 
     def eval_kernel(self, x, y):
         """K(x, y) at a pair of points (scalar).  The atom sits on x == y."""
-        xs = self.domain.canonical(np.asarray([x], dtype=float))[0]
-        ys = self.domain.canonical(np.asarray([y], dtype=float))[0]
+        xs = self.basis.canonical(np.asarray([x], dtype=float))[0]
+        ys = self.basis.canonical(np.asarray([y], dtype=float))[0]
         if xs == ys:
             return complex(self.diag_value(xs)[0])
         val, _res = self.basis.kernel_sum_at(self.rule, xs, ys, self.eps_trunc)

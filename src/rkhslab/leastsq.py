@@ -24,9 +24,10 @@ for ``dump_design`` and the tests.
 The fit alone factors again, whichever R the design holds: R of [L g] holds
 R of L and, in its last column, Q* g for the implicit Q of the block
 reflectors (Golub 1965), so it stays backward stable at any condition
-number the rank test accepts; no design keeps Q.  scipy.linalg is imported
-by the first QR or triangular solve, so a run that makes neither never
-loads it.
+number the rank test accepts; no design keeps Q.  Its last diagonal entry
+is the residual norm ||Lc - g||, so each design row is evaluated once per
+fit.  scipy.linalg is imported by the first QR or triangular solve, so a
+run that makes neither never loads it.
 """
 
 import csv
@@ -284,17 +285,15 @@ def recover(model, density, nodes, m, samples, design=None):
     ds._require_full_rank()
     g = np.asarray(samples) * ds.weights
     k = ds.indices.size
-    # R of [L g] is [R h] with R*R = L*L and h = Q* g, Q the implicit
-    # product of the block reflectors
+    # R of [L g] is [R h; 0 rho] with R*R = L*L, h = Q* g for Q the implicit
+    # product of the block reflectors, and |rho| = ||Lc - g||; a square
+    # design (n = k) has no row rho, and fits g exactly
     aug = _streamed_triangle(
         lambda lo, hi: np.array(np.column_stack([ds.rows(lo, hi), g[lo:hi]]),
                                 order="F"),
         ds.n, k + 1, np.result_type(ds.basis.dtype, g.dtype))
     coef = solve_triangular(aug[:k, :k], aug[:k, k], lower=False)
-    # ||Lc - g|| from the norms of its row blocks, a second pass over L
-    residual = float(np.linalg.norm(
-        [np.linalg.norm(ds.rows(lo, hi) @ coef - g[lo:hi])
-         for lo, hi in _spans(ds.n, k, ds.basis.dtype.itemsize)]))
+    residual = float(abs(aug[k, k])) if ds.n > k else 0.0
     return Coefficients(values=coef, residual_norm=residual)
 
 

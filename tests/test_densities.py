@@ -514,3 +514,15 @@ def test_fourier_distribution_function_is_the_identity(kind, m, atom):
     d = SamplingDensity(model, kind, m=m)
     x = np.linspace(0.0, 1.0, 29)
     np.testing.assert_allclose(d.cdf(x), x, rtol=0.0, atol=1e-14)
+
+
+def test_node_set_size_is_read_from_its_points(tmp_path):
+    density = SamplingDensity(sob(), "spectral-mix", m=3)
+    drawn = draw_nodes(density, 37, seed=2)
+    path = tmp_path / "nodes.csv"
+    drawn.save(path)
+    loaded = type(drawn).load(path)
+    chosen = nodes_from_points(density, [0.1, 0.5, 0.9])
+    assert (drawn.n, loaded.n, chosen.n) == (37, 37, 3)
+    chosen.x = chosen.x[:2]
+    assert chosen.n == 2

@@ -695,3 +695,24 @@ def test_recovery_trials_factor_the_certified_moment_gram(monkeypatch, basis):
         else:
             np.testing.assert_allclose(cells, ref, rtol=1e-12, atol=0.0)
     assert not any(row[got.header.index("flagged")] for row in got.rows)
+
+
+def test_tables_of_one_layout_share_a_row_dtype():
+    a = ex.TrialTable([[0, 1], [0.5, 1.5], [True, False]])
+    b = ex.TrialTable([[np.int64(7)], [np.float64(2.0)], [3]])
+    assert a._rows.dtype is b._rows.dtype
+    assert a._rows.dtype is not ex.TrialTable([[0], [1], [0.5]])._rows.dtype
+    assert list(b) == [(7, 2.0, 3)]
+
+
+@pytest.mark.parametrize("columns", [[], [[], []]])
+def test_an_empty_table_reads_back_empty(tmp_path, columns):
+    table = ex.TrialTable(columns)
+    assert len(table) == 0
+    assert list(table) == [] and table[:] == []
+    assert [cells for cells, _ in table.columns()] == columns
+    assert table == ex.TrialTable(columns)
+    header = ["a", "b"][:len(columns)]
+    ex.write_rows_csv(tmp_path / "empty.csv", header, table)
+    assert (tmp_path / "empty.csv").read_bytes() == (
+        ",".join(header) + "\r\n").encode()

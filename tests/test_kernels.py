@@ -786,3 +786,24 @@ def test_split_tables_share_one_block(n, top):
         assert anchors.base is rotations.base
         pairs += 1
     assert pairs == max(1, -(-n // _NODE_BLOCK))
+
+
+def test_fourier_canonical_reduces_mod_one():
+    fb = get_basis("fourier")
+    x = np.array([0.25, -0.25, 1.5, 3.0, -2.75])
+    np.testing.assert_array_equal(fb.canonical(x),
+                                  [0.25, 0.75, 0.5, 0.0, 0.25])
+    for bad in (np.nan, np.inf, -np.inf):
+        with pytest.raises(DomainError, match="torus-1d"):
+            fb.canonical(np.array([0.1, bad]))
+
+
+def test_cosine_canonical_keeps_the_unit_interval():
+    cb = get_basis("cosine")
+    x = np.array([0.0, 0.3, 1.0, 5e-324])
+    got = cb.canonical(x)
+    assert got.dtype == float
+    np.testing.assert_array_equal(got, x)
+    for bad in (-1e-300, 1.0 + 2.0 ** -52, 1.5, np.nan, np.inf):
+        with pytest.raises(DomainError, match="unit-interval"):
+            cb.canonical(np.array([0.5, bad]))

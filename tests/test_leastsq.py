@@ -525,3 +525,38 @@ def test_gram_design_checks_its_nodes_as_the_factored_design():
         leastsq.gram_design(model, density, nodes, 3)
     with pytest.raises(ValueError, match="distinct"):
         assemble_design(model, density, nodes, 3)
+
+
+def test_recover_evaluates_each_row_block_once(monkeypatch):
+    # the residual ||Lc - g|| is the last diagonal entry of R of [L g], so
+    # the fit's one pass over the row blocks is the only one
+    model = fourier_model()
+    density = SamplingDensity(model, "plain")
+    nodes = draw_nodes(density, 20000, seed=5)
+    ds = assemble_design(model, density, nodes, 7)
+    seen = []
+    rows = leastsq.DesignSystem.rows
+
+    def spied(self, lo, hi):
+        seen.append((lo, hi))
+        return rows(self, lo, hi)
+
+    monkeypatch.setattr(leastsq.DesignSystem, "rows", spied)
+    recover(model, density, nodes, 7, np.cos(5.0 * nodes.x), design=ds)
+    spans = leastsq._spans(nodes.n, 7, model.basis.dtype.itemsize)
+    assert len(spans) > 1
+    assert seen == spans
+
+
+@pytest.mark.parametrize("model_of", [fourier_model, cosine_model])
+def test_square_design_fits_its_samples_exactly(model_of):
+    # n = m - 1: R of [L g] has no row below R, and the residual is 0
+    model = model_of()
+    density = SamplingDensity(model, "plain")
+    nodes = nodes_from_points(density, (np.arange(6) + 0.5) / 6.5)
+    ds = assemble_design(model, density, nodes, 7)
+    samples = np.random.default_rng(4).standard_normal(6)
+    got = recover(model, density, nodes, 7, samples, design=ds)
+    assert got.residual_norm == 0.0
+    want = np.linalg.solve(ds.matrix, samples * ds.weights)
+    np.testing.assert_allclose(got.values, want, rtol=0.0, atol=1e-12)
