@@ -31,7 +31,8 @@ from .leastsq import (assemble_design, gram_design, gram_eig_check,
                       gram_spectrum)
 from .worstcase import (FAIL_MULT, bound, choose_m, exact_wce_discretization,
                         exact_wce_recovery, max_m_under, mode_budget,
-                        model_bound_inputs, wce_nullspace_component)
+                        model_bound_inputs, pick_trunc,
+                        wce_nullspace_component)
 
 _SWEEP_STREAM_STRIDE = 1_000_000
 
@@ -449,15 +450,16 @@ def _recovery_point(cfg, model, n, names, g=0):
     flagged = dict(dict.fromkeys(_RECOVER_HEADER, 0.0), m=m,
                    bound_value=bound_val, exceeded=1, nullspace_ok=-1,
                    atom_bound_value=atom_val, atom_exceeded=1)
+    N = pick_trunc(model, cfg.trunc, m - 1)[0]
 
     def trial(nodes):
-        ds = (gram_design(model, density, nodes, m)
+        ds = (gram_design(model, density, nodes, m, N)
               or assemble_design(model, density, nodes, m))
         wce = exact_wce_recovery(model, density, nodes, m, trunc=cfg.trunc,
                                  design=ds)
         # without an atom, the flagged record's nullspace fields stand
         rec = dict(flagged, lambda_min=ds.lambda_min, lambda_max=ds.lambda_max,
-                   pinv_norm=wce.pinv_norm, wce_sq=wce.value_sq,
+                   pinv_norm=ds.pinv_norm(), wce_sq=wce.value_sq,
                    wce_residual=wce.residual, wce_upper_sq=wce.upper_sq,
                    exceeded=int(wce.upper_sq > bound_val),
                    triangle_upper_sq=wce.upper_sq)

@@ -12,7 +12,8 @@ ways.  Where the moment Gram's spectrum certifies the rank test
 (``gram_design``: lambda_min > GRAM_RTOL lambda_max), R is its Cholesky
 factor; the Gram is then well conditioned, and the Cholesky factor is as
 accurate as the QR triangle (CholeskyQR, Yamamoto, Nakatsukasa, Yanagisawa
-& Fukaya 2015), so no design row is evaluated.  Elsewhere
+& Fukaya 2015), so no design row is evaluated; its moments for columns 1..N
+hold n H in the first m-1 and serve as the worst-case cross Gram.  Elsewhere
 (``assemble_design``) L is factored, L = QR, and R's singular values, those
 of L, give the rank test at a ratio the Gram, with its squared condition
 number, cannot resolve.  That R comes from a row-blocked tall-skinny QR
@@ -68,6 +69,7 @@ class DesignSystem:
     weights: np.ndarray
     factor: np.ndarray = None
     svals: np.ndarray = None
+    moments: np.ndarray = None  # gram_design's block, L*L in its head
 
     def __post_init__(self):
         if self.factor is None:
@@ -227,13 +229,14 @@ def assemble_design(model, density, nodes, m):
                         x=nodes.x, weights=weights)
 
 
-def _moment_gram(model, x, m, n, weights):
-    """The Gram (1/n) L*L of the design with rows weighted by ``weights``
-    at the nodes x, and its eigenvalues, ascending.  The Gram is
-    weighted_gram(1..m-1, 1..m-1, x, weights^2) / n: no row of L is made."""
-    span = np.arange(1, m)
-    gram = model.basis.weighted_gram(span, span, x, weights * weights) / n
-    return gram, np.linalg.eigvalsh(gram)
+def _moment_gram(model, x, m, n, weights, N=0):
+    """weighted_gram(1..m-1, 1..max(N, m-1), x, weights^2), the Gram (1/n)
+    L*L of the design with rows weighted by ``weights``, its first m-1
+    columns over n, and the Gram's eigenvalues, ascending."""
+    ks = np.arange(1, max(N + 1, m))
+    block = model.basis.weighted_gram(ks[: m - 1], ks, x, weights * weights)
+    gram = block[:, : m - 1] / n
+    return block, gram, np.linalg.eigvalsh(gram)
 
 
 def gram_spectrum(model, nodes, m):
@@ -241,16 +244,17 @@ def gram_spectrum(model, nodes, m):
     making it, from ``_moment_gram``.  eigvalsh of a singular Gram can
     return -1e-17, so lambda_min is clamped at 0."""
     m, n, weights = _weighted_span(nodes, m)
-    _, eigs = _moment_gram(model, nodes.x, m, n, weights)
+    _, _, eigs = _moment_gram(model, nodes.x, m, n, weights)
     low = float(eigs[0])
     return GramSpectrum(n=n, lambda_min=low if low > 0.0 else 0.0,
                         lambda_max=float(eigs[-1]))
 
 
-def gram_design(model, density, nodes, m):
+def gram_design(model, density, nodes, m, N=0):
     """The design of ``assemble_design`` with R the Cholesky factor of the
     moment Gram, or None where its spectrum does not certify the rank test;
     the caller then factors L (``gram_design(...) or assemble_design(...)``).
+    It keeps the moments of columns 1..max(N, m-1) for a recovery at N.
 
     The moments and ``eigvalsh`` put an error of about (top + k) eps
     lambda_max on each eigenvalue of the Gram, for k = m - 1 columns and
@@ -263,14 +267,14 @@ def gram_design(model, density, nodes, m):
     with R*R moves by about (top + k) eps / GRAM_RTOL relative, far inside
     the 1e-10 to which outputs are compared."""
     m, n, weights = _distinct_span(nodes, m)
-    gram, eigs = _moment_gram(model, nodes.x, m, n, weights)
+    block, gram, eigs = _moment_gram(model, nodes.x, m, n, weights, N)
     if not eigs[0] > GRAM_RTOL * eigs[-1]:
         return None
     return DesignSystem(basis=model.basis, indices=np.arange(1, m),
                         x=nodes.x, weights=weights,
                         factor=np.linalg.cholesky(gram).conj().T
                         * math.sqrt(n),
-                        svals=np.sqrt(n * eigs[::-1]))
+                        svals=np.sqrt(n * eigs[::-1]), moments=block)
 
 
 def recover(model, density, nodes, m, samples, design=None):

@@ -12,10 +12,11 @@ eigenvalue then comes from a one-dimensional secular equation at every
 truncation order (Golub 1973); the dense matrix itself is only built by
 ``recovery_error_matrix``, the oracle the tests take the SVD of.
 
-Both operators come from weighted trigonometric moments
-S(f) = sum_i v_i exp(i f theta_i): the m-1 dense rows are gathered from about
-N + m moments of the squared node weights (``weighted_gram``), and the
-discretization operator diag(lambda) - (sigma sigma^T o Gram) / n is applied
+Both operators take N, sigma_1..sigma_N, lambda_{N+1} and the tail sum from
+``pick_trunc``, and come from weighted moments S(f) = sum_i v_i exp(i f
+theta_i): the m-1 dense rows from about N + m moments of the squared node
+weights (``weighted_gram``, a block a certified design already holds), and
+the discretization operator diag(lambda) - (sigma sigma^T o Gram) / n applied
 inside one Lanczos solve through FFT products on about 2N moments of the
 weights (``gram_matvec``).  Neither an n x N design nor an N x N
 discretization matrix is formed.
@@ -57,8 +58,6 @@ class WceValue:
     value_sq: float
     residual: float
     trunc_dim: int
-    lambda_min: float
-    pinv_norm: float
     # whether the secular solve's step cap ended it before its bracket
     # closed, and the bracket's relative width when it stopped; in memory
     # only, no output file carries them
@@ -118,15 +117,17 @@ class BoundReport:
 # ---------------------------------------------------------------------------
 
 
-def _pick_trunc(model, trunc, lowest):
+def pick_trunc(model, trunc, lowest):
+    """(N, sigma_1..sigma_N, lambda_{N+1}, tail sum from N+1).  An auto N
+    tests _TRUNC_CAP first: slow decay's index may lie past any search."""
     if trunc is None:
-        n = min(model.trunc_index, _TRUNC_CAP)
-    else:
-        n = int(trunc)
-    n = max(n, lowest)
+        slow = model.tail_sum(_TRUNC_CAP + 1) > model.eps_trunc
+        trunc = _TRUNC_CAP if slow else model.trunc_index
+    n = max(int(trunc), lowest)
     if model.rank is not None:
         n = min(n, max(model.rank, lowest))
-    return n
+    return (n, model.singular_values(np.arange(1, n + 1)),
+            model.rule.value(n + 1), model.tail_sum(n + 1))
 
 
 def _lowrank_plus_diag_norm(d, C):
@@ -190,26 +191,22 @@ def _lowrank_plus_diag_norm(d, C):
 
 
 def _recovery_parts(model, density, nodes, m, trunc, design):
+    N, sig, lam_next, tail = pick_trunc(model, trunc, m - 1)
     ds = design if design is not None else (
-        gram_design(model, density, nodes, m)
+        gram_design(model, density, nodes, m, N)
         or assemble_design(model, density, nodes, m))
     w = ds.weights
-    N = _pick_trunc(model, trunc, m - 1)
-    sig = model.singular_values(np.arange(1, N + 1))
     # L* G with G the design scaled by sig: sum_i w_i^2 conj(eta_j) eta_k sig_k
-    cross = model.basis.weighted_gram(np.arange(1, m), np.arange(1, N + 1),
-                                      nodes.x, w ** 2)
-    cross *= sig[None, :]
-    C = -ds.solve(cross)
+    cross = ds.moments
+    if cross is None or cross.shape[1] != N:
+        cross = model.basis.weighted_gram(np.arange(1, m),
+                                          np.arange(1, N + 1), nodes.x, w ** 2)
+    C = -ds.solve(cross * sig[None, :])
     head = np.arange(m - 1)
     C[head, head] += sig[head]
     d = np.concatenate([np.zeros(m - 1), sig[m - 1:] ** 2])
-
-    tail = model.tail_sum(N + 1)
-    pinv = ds.pinv_norm()
-    wsum = float(np.sum(w ** 2))
-    resid = math.sqrt(model.rule.value(N + 1)
-                      + pinv ** 2 * model.basis.sup_eta_sq * tail * wsum)
+    resid = math.sqrt(lam_next + ds.pinv_norm() ** 2 * model.basis.sup_eta_sq
+                      * tail * float(np.sum(w ** 2)))
     return ds, C, d, sig, N, resid
 
 
@@ -233,11 +230,10 @@ def recovery_error_matrix(model, density, nodes, m, trunc=None):
 
 def exact_wce_recovery(model, density, nodes, m, trunc=None, design=None):
     """Exact squared worst-case L2 recovery error over the truncated ball."""
-    ds, C, d, sig, N, resid = _recovery_parts(model, density, nodes, m,
-                                              trunc, design)
+    _, C, d, _, N, resid = _recovery_parts(model, density, nodes, m, trunc,
+                                           design)
     value_sq, capped, width = _lowrank_plus_diag_norm(d, C)
     return WceValue(value_sq=value_sq, residual=resid, trunc_dim=N,
-                    lambda_min=ds.lambda_min, pinv_norm=ds.pinv_norm(),
                     secular_capped=capped, secular_width=width)
 
 
@@ -261,8 +257,7 @@ def exact_wce_discretization(model, nodes, weights=None, trunc=None):
     w = np.ones(n) if weights is None else np.asarray(weights, dtype=float)
     if w.shape != x.shape or np.any(w < 0.0):
         raise ValueError("weights must be non-negative, one per node")
-    N = _pick_trunc(model, trunc, 1)
-    sig = model.singular_values(np.arange(1, N + 1))
+    N, sig, lam_next, tail = pick_trunc(model, trunc, 1)
     gram = model.basis.gram_matvec(N, x, w)
 
     def apply(u):
@@ -282,8 +277,7 @@ def exact_wce_discretization(model, nodes, weights=None, trunc=None):
                      v0=v0, tol=0, return_eigenvectors=False)
         value = float(abs(vals[0]))
 
-    lam_next = model.rule.value(N + 1)
-    q2 = model.basis.sup_eta_sq * model.tail_sum(N + 1) * float(w.max())
+    q2 = model.basis.sup_eta_sq * tail * float(w.max())
     resid = lam_next + q2 + math.sqrt((model.rule.value(1) + value) * q2)
     return DiscretizationValue(value=value, residual=resid, trunc_dim=N)
 

@@ -716,3 +716,65 @@ def test_an_empty_table_reads_back_empty(tmp_path, columns):
     ex.write_rows_csv(tmp_path / "empty.csv", header, table)
     assert (tmp_path / "empty.csv").read_bytes() == (
         ",".join(header) + "\r\n").encode()
+
+
+SLOW_DECAY_CFG = """
+basis = fourier
+decay = poly
+s = 0.75
+r = 2.0
+seed = 13
+"""
+
+
+@pytest.mark.parametrize("text", [
+    "kind = recover\ndensity = spectral-mix\nn = 300\ntrials = 2",
+    "kind = sweep\ndensity = spectral-mix\nn_grid = 60,120,240,480\n"
+    "trials = 1",
+    "kind = discretize\nn = 200\ntrials = 2",
+], ids=["recover", "sweep", "discretize"])
+def test_auto_truncation_caps_slow_decay(monkeypatch, text):
+    # at poly s = 0.75 the model's truncation index lies past 2^62, where
+    # its search gives up; the automatic N is the cap, read first
+    dims = []
+    for name in ("exact_wce_recovery", "exact_wce_discretization"):
+        def traced(*args, _fn=getattr(ex, name), **kwargs):
+            value = _fn(*args, **kwargs)
+            dims.append(value.trunc_dim)
+            return value
+        monkeypatch.setattr(ex, name, traced)
+    cfg = build(SLOW_DECAY_CFG + text)
+    assert cfg.trunc is None
+    ex.run(cfg)
+    assert dims and set(dims) == {4096}
+
+
+@pytest.mark.parametrize("basis,decay", [("fourier", "poly"),
+                                         ("cosine", "sobolev")])
+def test_a_certified_recovery_trial_forms_one_moment_block(monkeypatch, basis,
+                                                           decay):
+    # without an atom a trial's moments are those of the squared weights,
+    # for the design's Gram and the error operator's cross Gram alike
+    text = (RECOVER_CFG.replace("basis = fourier", "basis = " + basis)
+            .replace("decay = poly", "decay = " + decay)
+            .replace("n = 120", "n = 500")
+            .replace("m_rule = auto", "m_rule = fixed\nm = 12"))
+    certified = []
+    gram_design = ex.gram_design
+
+    def counted_design(*args):
+        ds = gram_design(*args)
+        certified.append(ds is not None)
+        return ds
+
+    calls = []
+    for cls in (rkhslab.kernels.FourierBasis, rkhslab.kernels.CosineBasis):
+        def counted(self, rows, cols, x, v, _fn=cls.weighted_gram):
+            calls.append(np.size(cols))
+            return _fn(self, rows, cols, x, v)
+        monkeypatch.setattr(cls, "weighted_gram", counted)
+    monkeypatch.setattr(ex, "gram_design", counted_design)
+    ex.run(build(text))
+    # one call per trial, of N = trunc columns
+    assert certified == [True] * 4
+    assert calls == [256] * 4

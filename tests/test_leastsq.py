@@ -560,3 +560,37 @@ def test_square_design_fits_its_samples_exactly(model_of):
     assert got.residual_norm == 0.0
     want = np.linalg.solve(ds.matrix, samples * ds.weights)
     np.testing.assert_allclose(got.values, want, rtol=0.0, atol=1e-12)
+
+
+@pytest.mark.parametrize("model_of", [fourier_model, cosine_model])
+@pytest.mark.parametrize("kind", ["plain", "spectral-mix"])
+def test_gram_design_shares_its_moment_block_without_changing_answers(
+        model_of, kind):
+    # the design made at N keeps weighted_gram(1..m-1, 1..N, x, w^2), which
+    # the worst-case value reads as its cross Gram; the Gram is its head
+    model = model_of()
+    m, N = 10, 128
+    density = SamplingDensity(model, kind, m=m)
+    nodes = draw_nodes(density, 300, seed=m)
+    got = leastsq.gram_design(model, density, nodes, m, N)
+    want = leastsq.gram_design(model, density, nodes, m)
+    assert got.moments.shape == (m - 1, N)
+    assert want.moments.shape == (m - 1, m - 1)
+    for key in ("lambda_min", "lambda_max"):
+        assert getattr(got, key) == pytest.approx(getattr(want, key),
+                                                  rel=1e-12, abs=0.0)
+    rhs = np.random.default_rng(m).standard_normal((m - 1, 3))
+    solved = want.solve(rhs)
+    assert (np.linalg.norm(got.solve(rhs) - solved)
+            <= 1e-12 * np.linalg.norm(solved))
+    kept = got.moments.copy()
+    wces = [exact_wce_recovery(model, density, nodes, m, trunc=N, design=ds)
+            for ds in (got, got, want)]
+    # the kept block is read, never scaled in place
+    assert np.array_equal(got.moments, kept)
+    assert wces[0] == wces[1]
+    assert wces[0].value_sq.hex() == wces[1].value_sq.hex()
+    assert wces[0].value_sq == pytest.approx(wces[2].value_sq, rel=1e-12,
+                                             abs=0.0)
+    assert wces[0].upper_sq == pytest.approx(wces[2].upper_sq, rel=1e-12,
+                                             abs=0.0)
