@@ -117,6 +117,31 @@ class PolynomialDecay(EigenvalueRule):
         return {"name": self.name, "s": self.s}
 
 
+@lru_cache(maxsize=4096)
+def _sobolev_tail(s, j0):
+    """sum_{j >= j0} (1+j^2)^(-s) by partial sum + Euler-Maclaurin.
+
+    The integral from t on is 1/2 B(s - 1/2, 1/2) I_w(s - 1/2, 1/2) at
+    w = 1/(1+t^2) (substitute w = 1/(1+u^2)), in closed form at s = 1.
+    """
+    if j0 <= 0:
+        return 1.0 + _sobolev_tail(s, 1)
+    cut = j0 + 4096
+    j = np.arange(j0, cut, dtype=float)
+    head = float(np.sum((1.0 + j * j) ** (-s)))
+    t = float(cut)
+    if s == 1.0:
+        integral = math.atan2(1.0, t)  # arctan(1/t), exact
+    else:
+        from scipy.special import beta, betainc
+        integral = 0.5 * float(beta(s - 0.5, 0.5)
+                               * betainc(s - 0.5, 0.5, 1.0 / (1.0 + t * t)))
+    f_t = (1.0 + t * t) ** (-s)
+    fp_t = -2.0 * s * t * (1.0 + t * t) ** (-s - 1.0)
+    # remainder of the correction is O(f'''(t)), far below 1e-16 here
+    return head + integral + 0.5 * f_t - fp_t / 12.0
+
+
 class SobolevDecay(EigenvalueRule):
     """lambda_k = (1 + (k-1)^2)^(-s); the constant mode carries weight 1."""
 
@@ -132,32 +157,7 @@ class SobolevDecay(EigenvalueRule):
         return (1.0 + j * j) ** (-self.s)
 
     def tail(self, m):
-        return self._freq_tail(int(m) - 1)
-
-    @lru_cache(maxsize=4096)
-    def _freq_tail(self, j0):
-        """sum_{j >= j0} (1+j^2)^(-s) by partial sum + Euler-Maclaurin.
-
-        The integral from t on is 1/2 B(s - 1/2, 1/2) I_w(s - 1/2, 1/2) at
-        w = 1/(1+t^2) (substitute w = 1/(1+u^2)), in closed form at s = 1.
-        """
-        if j0 <= 0:
-            return 1.0 + self._freq_tail(1)
-        s = self.s
-        cut = j0 + 4096
-        j = np.arange(j0, cut, dtype=float)
-        head = float(np.sum((1.0 + j * j) ** (-s)))
-        t = float(cut)
-        if s == 1.0:
-            integral = math.atan2(1.0, t)  # arctan(1/t), exact
-        else:
-            from scipy.special import beta, betainc
-            integral = 0.5 * float(beta(s - 0.5, 0.5)
-                                   * betainc(s - 0.5, 0.5, 1.0 / (1.0 + t * t)))
-        f_t = (1.0 + t * t) ** (-s)
-        fp_t = -2.0 * s * t * (1.0 + t * t) ** (-s - 1.0)
-        # remainder of the correction is O(f'''(t)), far below 1e-16 here
-        return head + integral + 0.5 * f_t - fp_t / 12.0
+        return _sobolev_tail(self.s, int(m) - 1)
 
     def describe(self):
         return {"name": self.name, "s": self.s}

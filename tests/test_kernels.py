@@ -807,3 +807,18 @@ def test_cosine_canonical_keeps_the_unit_interval():
     for bad in (-1e-300, 1.0 + 2.0 ** -52, 1.5, np.nan, np.inf):
         with pytest.raises(DomainError, match="unit-interval"):
             cb.canonical(np.array([0.5, bad]))
+
+
+def test_sobolev_tail_cache_is_shared_by_s_and_keeps_no_rule_alive():
+    import gc
+    import weakref
+    from rkhslab import kernels
+    rule = SobolevDecay(1.0)
+    first = rule.tail(5)
+    ref = weakref.ref(rule)
+    del rule
+    gc.collect()
+    assert ref() is None
+    hits = kernels._sobolev_tail.cache_info().hits
+    assert SobolevDecay(1.0).tail(5) == first
+    assert kernels._sobolev_tail.cache_info().hits == hits + 1
