@@ -37,8 +37,7 @@ class KernelVectorFamily:
         self.model = model
         self.dim = int(dim)
         self.sig = model.singular_values(np.arange(1, self.dim + 1))
-        self.lambda_diag = self.sig ** 2
-        self.lambda_op = float(self.lambda_diag.max()) if dim else 0.0
+        self.lambda_op = float(np.max(self.sig ** 2)) if dim else 0.0
         # partial sups of the weighted sums are attained at the same point
         # as the full ones for both built-in bases, so the truncated sup is
         # an exact difference of tail functions
@@ -55,7 +54,7 @@ class KernelVectorFamily:
         return block * self.sig[None, :]
 
     def expectation(self):
-        return np.diag(self.lambda_diag.astype(float))
+        return np.diag(self.sig ** 2)
 
     def deviation(self, rng, n):
         """The deviation at the nodes ``sample`` would draw, from the exact
@@ -236,18 +235,14 @@ class TailExperiment:
         self.deviations = devs
         return devs
 
-    def empirical_tail(self, t):
-        hits = int(np.count_nonzero(self.deviations >= t))
-        rate = hits / self.trials
-        return rate, wilson_interval(hits, self.trials)
-
     def curve(self):
         """Rows (t, rate, wilson_lo, wilson_hi, envelope) after ``run``."""
         rows = []
-        for t in np.atleast_1d(self.t_grid):
-            rate, (lo, hi) = self.empirical_tail(float(t))
-            rows.append((float(t), rate, lo, hi,
-                         tail_envelope(self.n, float(t), self.family.m_bound)))
+        for t in map(float, np.atleast_1d(self.t_grid)):
+            hits = int(np.count_nonzero(self.deviations >= t))
+            rows.append((t, hits / self.trials,
+                         *wilson_interval(hits, self.trials),
+                         tail_envelope(self.n, t, self.family.m_bound)))
         return rows
 
 

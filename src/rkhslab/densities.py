@@ -58,8 +58,6 @@ class NodeSet:
     x: np.ndarray
     density_values: np.ndarray
     kind: str
-    seed: int = 0
-    stream: int = 0
     component_counts: dict = field(default_factory=dict)
 
     @property
@@ -365,7 +363,7 @@ def draw_nodes(density, count, seed, stream=0):
     if np.any(vals <= 0.0):
         raise DegenerateDensityError("drew a node with non-positive density")
     return NodeSet(x=x, density_values=vals, kind=density.kind,
-                   seed=int(seed), stream=int(stream), component_counts=tally)
+                   component_counts=tally)
 
 
 def nodes_from_points(density, x):

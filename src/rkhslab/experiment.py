@@ -186,10 +186,10 @@ def _validate(cfg):
                               % (key, "/".join(allowed), getattr(cfg, key)))
     if cfg.decay == "explicit" and not cfg.values:
         raise ConfigError("values: explicit decay needs a value list")
-    if cfg.atom_mass < 0:
-        raise ConfigError("atom_mass: must be non-negative")
-    if not cfg.r > 1.0:
-        raise ConfigError("r: must be greater than 1")
+    if not 0.0 <= cfg.atom_mass < math.inf:
+        raise ConfigError("atom_mass: must be non-negative and finite")
+    if not 1.0 < cfg.r < math.inf:
+        raise ConfigError("r: must be finite and greater than 1")
     if cfg.trials < 1:
         raise ConfigError("trials: must be at least 1")
     if cfg.seed < 0:
@@ -570,11 +570,7 @@ def run_eigcheck(cfg):
     density = SamplingDensity(model, cfg.density, m=m)
 
     def trial(nodes):
-        chk = gram_eig_check(gram_spectrum(model, nodes, m))
-        return {"m": m, "lambda_min": chk["lambda_min"],
-                "lambda_max": chk["lambda_max"],
-                "pinv_norm": chk["pinv_norm"], "eig_ok": int(chk["eig_ok"]),
-                "norm_ok": int(chk["norm_ok"])}
+        return dict(gram_eig_check(gram_spectrum(model, nodes, m)), m=m)
 
     recs = _trials(cfg, density, n, trial)
     eig_budget = fail_prob(n, cfg.r)

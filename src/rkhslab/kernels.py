@@ -99,8 +99,8 @@ class PolynomialDecay(EigenvalueRule):
     name = "poly"
 
     def __init__(self, s):
-        if not s > 0.5:
-            raise ValueError("polynomial decay needs s > 1/2 for a finite trace")
+        if not 0.5 < s < math.inf:
+            raise ValueError("polynomial decay needs a finite s > 1/2")
         self.s = float(s)
 
     def values(self, k):
@@ -148,8 +148,8 @@ class SobolevDecay(EigenvalueRule):
     name = "sobolev"
 
     def __init__(self, s):
-        if not s > 0.5:
-            raise ValueError("sobolev decay needs s > 1/2 for a finite trace")
+        if not 0.5 < s < math.inf:
+            raise ValueError("sobolev decay needs a finite s > 1/2")
         self.s = float(s)
 
     def values(self, k):
@@ -171,8 +171,8 @@ class GeometricDecay(EigenvalueRule):
     def __init__(self, q, scale=1.0):
         if not 0.0 < q < 1.0:
             raise ValueError("geometric ratio must lie in (0, 1)")
-        if scale <= 0.0:
-            raise ValueError("geometric scale must be positive")
+        if not 0.0 < scale < math.inf:
+            raise ValueError("geometric scale must be positive and finite")
         self.q = float(q)
         self.scale = float(scale)
 
@@ -194,10 +194,10 @@ class ExplicitEigenvalues(EigenvalueRule):
 
     def __init__(self, values):
         vals = np.asarray(list(values), dtype=float)
-        if (not vals.size or np.any(vals <= 0.0)
+        if (not vals.size or not np.all((vals > 0.0) & (vals < math.inf))
                 or np.any(np.diff(vals) > 1e-15)):
             raise ValueError("explicit eigenvalues must be a non-empty, "
-                             "positive, non-increasing list")
+                             "positive, finite, non-increasing list")
         self._values = vals
         self.rank = int(vals.size)
         self._suffix = np.concatenate([np.cumsum(vals[::-1])[::-1], [0.0]])
@@ -723,8 +723,8 @@ class SpectralKernelModel:
     def __init__(self, basis, rule, atom_mass=0.0):
         if isinstance(basis, str):
             basis = get_basis(basis)
-        if atom_mass < 0.0:
-            raise ValueError("atom mass must be non-negative")
+        if not 0.0 <= atom_mass < math.inf:
+            raise ValueError("atom mass must be non-negative and finite")
         self.basis = basis
         self.rule = rule
         self.atom_mass = float(atom_mass)
@@ -748,11 +748,6 @@ class SpectralKernelModel:
         return self.rule.total() + self.atom_mass
 
     @property
-    def trace0(self):
-        """Mass of the diagonal atom (the part invisible to L2)."""
-        return self.atom_mass
-
-    @property
     def embedding_norm(self):
         """Operator norm of the embedding into L2: the top singular value."""
         return math.sqrt(self.rule.value(1))
@@ -767,9 +762,6 @@ class SpectralKernelModel:
 
     def singular_values(self, ks):
         return np.sqrt(self.rule.values(ks))
-
-    def traces(self):
-        return self.trace, self.trace0
 
     # -- pointwise evaluation ------------------------------------------------
 

@@ -37,7 +37,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .concentration import fail_prob
 from .errors import RankDeficientError
 
 # columns below this singular-value ratio make the trial unusable
@@ -113,13 +112,10 @@ class DesignSystem:
     def full_rank(self):
         return float(self.svals[-1]) > RANK_RTOL * float(self.svals[0])
 
-    def pinv_norm(self, method="eig"):
+    def pinv_norm(self):
         """Operator norm of (L*L)^(-1) L*, the reciprocal smallest singular
-        value of L, read from lambda_min ("eig") or from R ("svd")."""
-        if method not in ("eig", "svd"):
-            raise ValueError("method must be 'eig' or 'svd'")
-        smin = (math.sqrt(self.n * self.lambda_min) if method == "eig"
-                else float(self.svals[-1]))
+        value of L: 1 / sqrt(n lambda_min)."""
+        smin = math.sqrt(self.n * self.lambda_min)
         return 1.0 / smin if smin > 0.0 else math.inf
 
     def _require_full_rank(self):
@@ -134,21 +130,20 @@ class DesignSystem:
         from scipy.linalg import solve_triangular
         self._require_full_rank()
         half = solve_triangular(self.factor, rhs, trans="C", lower=False)
-        return solve_triangular(self.factor, half, lower=False)
+        return solve_triangular(self.factor, half, lower=False,
+                                overwrite_b=True)
 
 
 @dataclass(frozen=True)
 class GramSpectrum:
-    """Extreme eigenvalues of the Gram (1/n) L*L of an n-node design."""
+    """Extreme eigenvalues of the Gram (1/n) L*L of an n-node design, and
+    the design's ``pinv_norm``."""
 
     n: int
     lambda_min: float
     lambda_max: float
 
-    def pinv_norm(self):
-        """1 / sqrt(n lambda_min), as ``DesignSystem.pinv_norm()``."""
-        smin = math.sqrt(self.n * self.lambda_min)
-        return 1.0 / smin if smin > 0.0 else math.inf
+    pinv_norm = DesignSystem.pinv_norm
 
 
 @dataclass
@@ -301,7 +296,7 @@ def recover(model, density, nodes, m, samples, design=None):
     return Coefficients(values=coef, residual_norm=residual)
 
 
-def gram_eig_check(ds, r=None):
+def gram_eig_check(ds):
     """Spectral predicates used by the failure-rate experiments.
 
     ``ds`` is anything with ``n``, ``lambda_min``, ``lambda_max`` and
@@ -314,7 +309,7 @@ def gram_eig_check(ds, r=None):
     norm = ds.pinv_norm()
     lo = math.sqrt(2.0 / (3.0 * n))
     hi = math.sqrt(2.0 / n)
-    report = {
+    return {
         "lambda_min": ds.lambda_min,
         "lambda_max": ds.lambda_max,
         "pinv_norm": norm,
@@ -323,9 +318,6 @@ def gram_eig_check(ds, r=None):
         "norm_hi": hi,
         "norm_ok": bool(lo <= norm <= hi),
     }
-    if r is not None:
-        report["fail_prob_bound"] = fail_prob(n, r)
-    return report
 
 
 def dump_design(ds, coef, path):

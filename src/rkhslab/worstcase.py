@@ -99,7 +99,6 @@ class ErrorMatrix:
 class NullspaceReport:
     component: float
     envelope: float
-    lambda_min: float
     within_envelope: object  # bool when lambda_min >= 1/2, else None
 
 
@@ -294,8 +293,8 @@ def wce_nullspace_component(atom_mass, nodes, design):
     RankDeficientError on a rank-deficient design.
     """
     atom_mass = float(atom_mass)
-    if atom_mass < 0.0:
-        raise ValueError("atom mass must be non-negative")
+    if not 0.0 <= atom_mass < math.inf:
+        raise ValueError("atom mass must be non-negative and finite")
     if np.unique(nodes.x).size != np.size(nodes.x):
         raise ValueError("nodes must be distinct")
     n, w = design.n, design.weights
@@ -309,7 +308,6 @@ def wce_nullspace_component(atom_mass, nodes, design):
     if design.lambda_min >= 0.5:
         within = bool(component <= envelope + 1e-12)
     return NullspaceReport(component=component, envelope=envelope,
-                           lambda_min=design.lambda_min,
                            within_envelope=within)
 
 

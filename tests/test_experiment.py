@@ -422,6 +422,33 @@ def test_invalid_rule_parameters_are_config_errors(tmp_path, key, rule):
     assert "Traceback" not in out.stderr
 
 
+@pytest.mark.parametrize("key,rule,cli", [
+    pytest.param("atom_mass:", "atom_mass = nan\n", True, id="atom-mass-nan"),
+    pytest.param("atom_mass:", "atom_mass = inf\n", False, id="atom-mass-inf"),
+    pytest.param("r:", "r = inf\n", False, id="r-inf"),
+    pytest.param("s:", "decay = poly\ns = inf\n", False, id="poly-s-inf"),
+    pytest.param("s:", "decay = sobolev\ns = inf\n", False,
+                 id="sobolev-s-inf"),
+    pytest.param("scale:", "decay = geometric\nq = 0.5\nscale = nan\n",
+                 False, id="scale-nan"),
+    pytest.param("scale:", "decay = geometric\nq = 0.5\nscale = inf\n",
+                 False, id="scale-inf"),
+    pytest.param("values:", "decay = explicit\nvalues = 1.0, nan\n", False,
+                 id="values-nan"),
+    pytest.param("values:", "decay = explicit\nvalues = inf, 1.0\n", False,
+                 id="values-inf"),
+])
+def test_non_finite_numbers_are_config_errors(tmp_path, key, rule, cli):
+    text = _RECOVER_RULE + rule
+    with pytest.raises(ConfigError, match="^" + key):
+        ex.run(build("kind = recover\n" + text))
+    if cli:
+        cfg = tmp_path / "bad.cfg"
+        cfg.write_text(text)
+        out = run_cli(["recover", "--config", str(cfg), "--out",
+                       str(tmp_path / "o")], tmp_path)
+        assert out.returncode == 2, out.stderr
+        assert "config error: " + key in out.stderr
 def test_discretize_without_trunc_uses_the_automatic_truncation():
     cfg = build("""
 kind = discretize

@@ -257,10 +257,8 @@ def test_atom_mass_sits_on_the_diagonal():
         np.array([x]))[0] == pytest.approx(0.3, rel=1e-12)
     assert bumped.eval_kernel(x, y) == pytest.approx(plain.eval_kernel(x, y),
                                                      rel=1e-12)
-    assert bumped.trace0 == 0.3
-    total, atom = bumped.traces()
-    assert atom == 0.3
-    assert total == pytest.approx(plain.trace + 0.3, rel=1e-12)
+    assert bumped.atom_mass == 0.3
+    assert bumped.trace == pytest.approx(plain.trace + 0.3, rel=1e-12)
 
 
 def test_explicit_rule_rank_edges():
