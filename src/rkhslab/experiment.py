@@ -195,8 +195,8 @@ def _validate(cfg):
     if cfg.seed < 0:
         raise ConfigError("seed: must be non-negative")
     if cfg.kind == "sweep":
-        if not cfg.n_grid or len(cfg.n_grid) < 4:
-            raise ConfigError("n_grid: sweep needs at least 4 grid points")
+        if not cfg.n_grid or len(set(cfg.n_grid)) < 4:
+            raise ConfigError("n_grid: sweep needs at least 4 distinct n")
         if any(n < 3 for n in cfg.n_grid):
             raise ConfigError("n_grid: every n must be at least 3")
     else:
@@ -453,10 +453,9 @@ def _recovery_point(cfg, model, n, names, g=0):
     N = pick_trunc(model, cfg.trunc, m - 1)[0]
 
     def trial(nodes):
-        ds = (gram_design(model, density, nodes, m, N)
-              or assemble_design(model, density, nodes, m))
-        wce = exact_wce_recovery(model, density, nodes, m, trunc=cfg.trunc,
-                                 design=ds)
+        ds = (gram_design(model, nodes, m, N)
+              or assemble_design(model, nodes, m))
+        wce = exact_wce_recovery(model, nodes, m, trunc=cfg.trunc, design=ds)
         # without an atom, the flagged record's nullspace fields stand
         rec = dict(flagged, lambda_min=ds.lambda_min, lambda_max=ds.lambda_max,
                    pinv_norm=ds.pinv_norm(), wce_sq=wce.value_sq,
@@ -464,7 +463,7 @@ def _recovery_point(cfg, model, n, names, g=0):
                    exceeded=int(wce.upper_sq > bound_val),
                    triangle_upper_sq=wce.upper_sq)
         if model.atom_mass > 0.0:
-            null = wce_nullspace_component(model.atom_mass, nodes, ds)
+            null = wce_nullspace_component(model.atom_mass, ds)
             rec.update(nullspace=null.component,
                        nullspace_envelope=null.envelope,
                        nullspace_ok=-1 if null.within_envelope is None

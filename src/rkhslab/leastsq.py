@@ -213,7 +213,7 @@ def _distinct_span(nodes, m):
     return m, n, weights
 
 
-def assemble_design(model, density, nodes, m):
+def assemble_design(model, nodes, m):
     """Make the weighted design system; its rows are factored as they are
     evaluated.
 
@@ -245,7 +245,7 @@ def gram_spectrum(model, nodes, m):
                         lambda_max=float(eigs[-1]))
 
 
-def gram_design(model, density, nodes, m, N=0):
+def gram_design(model, nodes, m, N=0):
     """The design of ``assemble_design`` with R the Cholesky factor of the
     moment Gram, or None where its spectrum does not certify the rank test;
     the caller then factors L (``gram_design(...) or assemble_design(...)``).
@@ -272,15 +272,14 @@ def gram_design(model, density, nodes, m, N=0):
                         svals=np.sqrt(n * eigs[::-1]), moments=block)
 
 
-def recover(model, density, nodes, m, samples, design=None):
+def recover(model, nodes, m, samples, design=None):
     """Least-squares coefficients from samples f(x_i).
 
     ``design`` can be passed to reuse an assembled system.  Raises
     RankDeficientError on a rank-deficient design.
     """
     from scipy.linalg import solve_triangular
-    ds = design if design is not None else assemble_design(model, density,
-                                                           nodes, m)
+    ds = design if design is not None else assemble_design(model, nodes, m)
     ds._require_full_rank()
     g = np.asarray(samples) * ds.weights
     k = ds.indices.size

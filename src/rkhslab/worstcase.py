@@ -189,24 +189,23 @@ def _lowrank_plus_diag_norm(d, C):
     return hi, hi - lo > _SECULAR_WIDTH * hi, (hi - lo) / hi
 
 
-def _recovery_parts(model, density, nodes, m, trunc, design):
+def _recovery_parts(model, nodes, m, trunc, design):
     N, sig, lam_next, tail = pick_trunc(model, trunc, m - 1)
     ds = design if design is not None else (
-        gram_design(model, density, nodes, m, N)
-        or assemble_design(model, density, nodes, m))
+        gram_design(model, nodes, m, N) or assemble_design(model, nodes, m))
     w = ds.weights
     # L* G with G the design scaled by sig: sum_i w_i^2 conj(eta_j) eta_k sig_k
     cross = ds.moments
     if cross is None or cross.shape[1] != N:
         cross = model.basis.weighted_gram(np.arange(1, m),
-                                          np.arange(1, N + 1), nodes.x, w ** 2)
+                                          np.arange(1, N + 1), ds.x, w ** 2)
     C = -ds.solve(cross * sig[None, :])
     head = np.arange(m - 1)
     C[head, head] += sig[head]
     d = np.concatenate([np.zeros(m - 1), sig[m - 1:] ** 2])
     resid = math.sqrt(lam_next + ds.pinv_norm() ** 2 * model.basis.sup_eta_sq
                       * tail * float(np.sum(w ** 2)))
-    return ds, C, d, sig, N, resid
+    return C, d, sig, N, resid
 
 
 # ---------------------------------------------------------------------------
@@ -214,10 +213,9 @@ def _recovery_parts(model, density, nodes, m, trunc, design):
 # ---------------------------------------------------------------------------
 
 
-def recovery_error_matrix(model, density, nodes, m, trunc=None):
+def recovery_error_matrix(model, nodes, m, trunc=None):
     """Dense error operator; meant for small N (tests and oracles)."""
-    _, C, _, sig, N, resid = _recovery_parts(model, density, nodes, m,
-                                             trunc, None)
+    C, _, sig, N, resid = _recovery_parts(model, nodes, m, trunc, None)
     if N > 2000:
         raise ValueError("dense error matrix capped at N=2000, got %d" % N)
     E = np.zeros((N, N), dtype=C.dtype)
@@ -227,10 +225,9 @@ def recovery_error_matrix(model, density, nodes, m, trunc=None):
     return ErrorMatrix(matrix=E, residual=resid)
 
 
-def exact_wce_recovery(model, density, nodes, m, trunc=None, design=None):
+def exact_wce_recovery(model, nodes, m, trunc=None, design=None):
     """Exact squared worst-case L2 recovery error over the truncated ball."""
-    _, C, d, _, N, resid = _recovery_parts(model, density, nodes, m, trunc,
-                                           design)
+    C, d, _, N, resid = _recovery_parts(model, nodes, m, trunc, design)
     value_sq, capped, width = _lowrank_plus_diag_norm(d, C)
     return WceValue(value_sq=value_sq, residual=resid, trunc_dim=N,
                     secular_capped=capped, secular_width=width)
@@ -254,8 +251,8 @@ def exact_wce_discretization(model, nodes, weights=None, trunc=None):
     if n < 1:
         raise ValueError("need at least one node")
     w = np.ones(n) if weights is None else np.asarray(weights, dtype=float)
-    if w.shape != x.shape or np.any(w < 0.0):
-        raise ValueError("weights must be non-negative, one per node")
+    if w.shape != x.shape or not np.all((w >= 0.0) & (w < math.inf)):
+        raise ValueError("weights must be non-negative, finite, one per node")
     N, sig, lam_next, tail = pick_trunc(model, trunc, 1)
     gram = model.basis.gram_matvec(N, x, w)
 
@@ -281,7 +278,7 @@ def exact_wce_discretization(model, nodes, weights=None, trunc=None):
     return DiscretizationValue(value=value, residual=resid, trunc_dim=N)
 
 
-def wce_nullspace_component(atom_mass, nodes, design):
+def wce_nullspace_component(atom_mass, design):
     """Worst-case L2 mass the solver picks up from the kernel's diagonal
     part: sup over the nullspace unit ball of ||fitted function||^2.
 
@@ -295,7 +292,7 @@ def wce_nullspace_component(atom_mass, nodes, design):
     atom_mass = float(atom_mass)
     if not 0.0 <= atom_mass < math.inf:
         raise ValueError("atom mass must be non-negative and finite")
-    if np.unique(nodes.x).size != np.size(nodes.x):
+    if np.unique(design.x).size != design.n:
         raise ValueError("nodes must be distinct")
     n, w = design.n, design.weights
     gram = design.basis.weighted_gram(design.indices, design.indices,

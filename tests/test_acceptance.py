@@ -305,18 +305,18 @@ def test_criterion_9_determinism_and_invariants(capsys, tmp_path):
 
     for i in range(100):
         model, density, nodes, m, n, rng = _random_fit_instance(i)
-        ds = assemble_design(model, density, nodes, m)
+        ds = assemble_design(model, nodes, m)
         s1 = rng.standard_normal(n) + 1j * rng.standard_normal(n)
         s2 = rng.standard_normal(n) + 1j * rng.standard_normal(n)
         a, b = complex(rng.standard_normal(), 1.0), complex(0.5, -2.0)
-        c1 = recover(model, density, nodes, m, s1, design=ds).values
-        c2 = recover(model, density, nodes, m, s2, design=ds).values
-        mix = recover(model, density, nodes, m, a * s1 + b * s2,
+        c1 = recover(model, nodes, m, s1, design=ds).values
+        c2 = recover(model, nodes, m, s2, design=ds).values
+        mix = recover(model, nodes, m, a * s1 + b * s2,
                       design=ds).values
         np.testing.assert_allclose(mix, a * c1 + b * c2, atol=1e-10 * max(
             1.0, float(np.abs(c1).max() + np.abs(c2).max())))
         refit = model.basis.eval_block(np.arange(1, m), nodes.x) @ c1
-        again = recover(model, density, nodes, m, refit, design=ds).values
+        again = recover(model, nodes, m, refit, design=ds).values
         np.testing.assert_allclose(again, c1, atol=1e-10 * max(
             1.0, float(np.abs(c1).max())))
         g = s1 * ds.weights

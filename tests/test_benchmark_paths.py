@@ -57,7 +57,7 @@ def test_workload_takes_the_certified_moment_paths(workload, monkeypatch,
     assert len(calls["qr"]) == 0
     assert len(calls["gram"]) == DESIGNS[workload]
     for args, ds in calls["gram"]:
-        assert ds is not None and ds.moments.shape[1] == args[4]
+        assert ds is not None and ds.moments.shape[1] == args[3]
     # only discretize-dense's cosine tail term reads an eigen index; its
     # table's size depends on the seed
     if workload != "discretize-dense":

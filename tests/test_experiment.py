@@ -504,6 +504,8 @@ CONFIG_ERRORS = [
     pytest.param("seed:", _RECOVER_TINY + "seed = -1\n", id="negative-seed"),
     pytest.param("n_grid:", "kind = sweep\nn_grid = 2, 10, 20, 40\n",
                  id="n-grid-point-below-3"),
+    pytest.param("n_grid:", "kind = sweep\nn_grid = 64, 64, 64, 64\n",
+                 id="n-grid-fewer-than-4-distinct"),
     pytest.param("n:", "kind = recover\n", id="missing-n"),
     pytest.param("trunc:", _RECOVER_TINY + "trunc = 0\n", id="trunc-zero"),
     pytest.param("dim:", _CONCENTRATION_TINY + "dim = 0\n", id="dim-zero"),

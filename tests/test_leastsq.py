@@ -34,7 +34,7 @@ def test_equispaced_fourier_gram_is_identity():
     model = fourier_model()
     density = SamplingDensity(model, "plain")
     nodes = equispaced(density, 16)
-    ds = assemble_design(model, density, nodes, m=6)
+    ds = assemble_design(model, nodes, m=6)
     np.testing.assert_allclose(ds.gram, np.eye(5), atol=1e-12)
     assert ds.lambda_min == pytest.approx(1.0, abs=1e-12)
     assert ds.lambda_max == pytest.approx(1.0, abs=1e-12)
@@ -45,7 +45,7 @@ def test_pinv_norm_two_ways():
     model = cosine_model()
     density = SamplingDensity(model, "spectral-mix", m=5)
     nodes = draw_nodes(density, 120, seed=21)
-    ds = assemble_design(model, density, nodes, m=5)
+    ds = assemble_design(model, nodes, m=5)
     assert ds.pinv_norm() == pytest.approx(1.0 / ds.singular_values()[-1],
                                            rel=1e-10)
 
@@ -57,7 +57,7 @@ def test_known_coefficients_recovered():
     rng = np.random.default_rng(8)
     coef = rng.standard_normal(5)
     samples = sample_vector(model, coef, nodes.x)
-    out = recover(model, density, nodes, 6, samples)
+    out = recover(model, nodes, 6, samples)
     np.testing.assert_allclose(out.values, coef, atol=1e-10)
     assert out.residual_norm < 1e-10
 
@@ -66,14 +66,14 @@ def test_recovery_is_linear():
     model = fourier_model()
     density = SamplingDensity(model, "spectral-mix", m=4)
     nodes = draw_nodes(density, 50, seed=3)
-    ds = assemble_design(model, density, nodes, 4)
+    ds = assemble_design(model, nodes, 4)
     rng = np.random.default_rng(4)
     f = rng.standard_normal(50) + 1j * rng.standard_normal(50)
     g = rng.standard_normal(50)
     a, b = 1.7, -0.3 + 0.2j
-    left = recover(model, density, nodes, 4, a * f + b * g, design=ds).values
-    right = (a * recover(model, density, nodes, 4, f, design=ds).values
-             + b * recover(model, density, nodes, 4, g, design=ds).values)
+    left = recover(model, nodes, 4, a * f + b * g, design=ds).values
+    right = (a * recover(model, nodes, 4, f, design=ds).values
+             + b * recover(model, nodes, 4, g, design=ds).values)
     np.testing.assert_allclose(left, right, atol=1e-10)
 
 
@@ -84,8 +84,8 @@ def test_recovery_is_idempotent():
     nodes = draw_nodes(density, 60, seed=5)
     rng = np.random.default_rng(6)
     samples = rng.standard_normal(60)
-    first = recover(model, density, nodes, 5, samples)
-    again = recover(model, density, nodes, 5,
+    first = recover(model, nodes, 5, samples)
+    again = recover(model, nodes, 5,
                     sample_vector(model, first.values, nodes.x))
     np.testing.assert_allclose(again.values, first.values, atol=1e-10)
 
@@ -94,10 +94,10 @@ def test_normal_equations_hold():
     model = cosine_model()
     density = SamplingDensity(model, "kernel-diag")
     nodes = draw_nodes(density, 70, seed=7)
-    ds = assemble_design(model, density, nodes, 6)
+    ds = assemble_design(model, nodes, 6)
     rng = np.random.default_rng(9)
     samples = rng.standard_normal(70)
-    coef = recover(model, density, nodes, 6, samples, design=ds).values
+    coef = recover(model, nodes, 6, samples, design=ds).values
     g = samples * ds.weights
     grad = ds.matrix.conj().T @ (ds.matrix @ coef - g)
     assert float(np.linalg.norm(grad)) < 1e-8 * max(
@@ -112,7 +112,7 @@ def test_first_excluded_function_maps_to_zero():
     nodes = equispaced(density, 12)
     m = 4
     samples = model.basis.eval(m, nodes.x)
-    out = recover(model, density, nodes, m, samples)
+    out = recover(model, nodes, m, samples)
     np.testing.assert_allclose(out.values, np.zeros(m - 1), atol=1e-12)
 
 
@@ -120,7 +120,7 @@ def test_single_node_constant_fit():
     model = cosine_model()
     density = SamplingDensity(model, "plain")
     nodes = nodes_from_points(density, np.array([0.42]))
-    out = recover(model, density, nodes, 2, np.array([3.5]))
+    out = recover(model, nodes, 2, np.array([3.5]))
     assert out.values[0] == pytest.approx(3.5, rel=1e-12)
 
 
@@ -129,10 +129,10 @@ def test_near_duplicate_nodes_rank_deficient():
     density = SamplingDensity(model, "plain")
     x = np.array([0.3, 0.3 + 1e-13, 0.30000001 + 1e-13])
     nodes = nodes_from_points(density, x)
-    ds = assemble_design(model, density, nodes, 4)
+    ds = assemble_design(model, nodes, 4)
     assert not ds.full_rank
     with pytest.raises(RankDeficientError):
-        recover(model, density, nodes, 4, np.zeros(3), design=ds)
+        recover(model, nodes, 4, np.zeros(3), design=ds)
 
 
 def test_exact_duplicates_rejected():
@@ -147,16 +147,16 @@ def test_shape_validation():
     density = SamplingDensity(model, "plain")
     nodes = nodes_from_points(density, np.array([0.1, 0.5]))
     with pytest.raises(ValueError):
-        assemble_design(model, density, nodes, 4)  # m-1 > n
+        assemble_design(model, nodes, 4)  # m-1 > n
     with pytest.raises(ValueError):
-        assemble_design(model, density, nodes, 1)  # empty span
+        assemble_design(model, nodes, 1)  # empty span
 
 
 def test_gram_eig_check_report():
     model = cosine_model()
     density = SamplingDensity(model, "spectral-mix", m=4)
     nodes = draw_nodes(density, 400, seed=12)
-    ds = assemble_design(model, density, nodes, 4)
+    ds = assemble_design(model, nodes, 4)
     chk = gram_eig_check(ds)
     assert chk["eig_ok"] == (chk["lambda_min"] >= 0.5)
     assert chk["norm_lo"] == pytest.approx(math.sqrt(2.0 / (3 * 400)))
@@ -165,9 +165,9 @@ def test_gram_eig_check_report():
                               <= chk["norm_hi"])
 
 
-def assert_spectrum_matches_design(model, density, nodes, m):
+def assert_spectrum_matches_design(model, nodes, m):
     got = gram_eig_check(leastsq.gram_spectrum(model, nodes, m))
-    want = gram_eig_check(assemble_design(model, density, nodes, m))
+    want = gram_eig_check(assemble_design(model, nodes, m))
     for key in ("lambda_min", "lambda_max", "pinv_norm"):
         assert got[key] == pytest.approx(want[key], rel=1e-13, abs=0.0)
     # the predicates and the window are the same
@@ -188,7 +188,7 @@ def test_moment_gram_spectrum_matches_the_factored_design(model_of, kind, m):
     # |eta_k|^2 = 1 makes Fourier's spectral-mix density uniform
     if kind == "spectral-mix" and model_of is cosine_model:
         assert np.ptp(nodes.density_values) > 0.1
-    assert_spectrum_matches_design(model, density, nodes, m)
+    assert_spectrum_matches_design(model, nodes, m)
 
 
 @pytest.mark.parametrize("model_of", [fourier_model, cosine_model])
@@ -201,7 +201,7 @@ def test_moment_gram_spectrum_reads_any_node_weights(model_of, m):
     rng = np.random.default_rng(m)
     nodes.density_values = (rng.uniform(0.2, 3.0, 300)
                             * (rng.random(300) > 0.1))
-    assert_spectrum_matches_design(model, density, nodes, m)
+    assert_spectrum_matches_design(model, nodes, m)
 
 
 def test_moment_gram_spectrum_clamps_lambda_min_at_zero(monkeypatch):
@@ -222,7 +222,7 @@ def test_moment_gram_spectrum_clamps_lambda_min_at_zero(monkeypatch):
     assert chk["pinv_norm"] == math.inf and not chk["norm_ok"]
     assert not chk["eig_ok"] and not any(
         isinstance(v, float) and math.isnan(v) for v in chk.values())
-    assert assemble_design(model, density, nodes, 3).pinv_norm() == math.inf
+    assert assemble_design(model, nodes, 3).pinv_norm() == math.inf
     with pytest.raises(ValueError):
         leastsq.gram_spectrum(model, nodes, 1)  # empty span
     with pytest.raises(ValueError):
@@ -233,8 +233,8 @@ def test_dump_design_writes_csv(tmp_path):
     model = cosine_model()
     density = SamplingDensity(model, "plain")
     nodes = nodes_from_points(density, np.array([0.2, 0.4, 0.8]))
-    ds = assemble_design(model, density, nodes, 3)
-    coef = recover(model, density, nodes, 3, np.ones(3), design=ds)
+    ds = assemble_design(model, nodes, 3)
+    coef = recover(model, nodes, 3, np.ones(3), design=ds)
     path = tmp_path / "design.csv"
     dump_design(ds, coef, path)
     text = path.read_text()
@@ -248,7 +248,7 @@ def test_lambda_min_on_a_near_singular_square_design(model_of):
     model = model_of()
     density = SamplingDensity(model, "plain")
     nodes = nodes_from_points(density, np.array([0.1, 0.3, 0.3 + 1e-6, 0.8]))
-    ds = assemble_design(model, density, nodes, 5)
+    ds = assemble_design(model, nodes, 5)
     smin = np.linalg.svd(ds.matrix, compute_uv=False)[-1]
     assert ds.full_rank
     assert ds.lambda_min == pytest.approx(smin ** 2 / 4, rel=1e-8, abs=0.0)
@@ -258,12 +258,12 @@ def test_recover_matches_lstsq_on_an_ill_conditioned_design():
     model = fourier_model()
     density = SamplingDensity(model, "plain")
     nodes = nodes_from_points(density, 0.1 + 0.1 * np.arange(8) / 8)
-    ds = assemble_design(model, density, nodes, 6)
+    ds = assemble_design(model, nodes, 6)
     assert 1e4 < np.linalg.cond(ds.matrix) < 1e5
     rng = np.random.default_rng(3)
     # random samples: far from the span of the five columns
     samples = rng.standard_normal(8) + 1j * rng.standard_normal(8)
-    got = recover(model, density, nodes, 6, samples, design=ds)
+    got = recover(model, nodes, 6, samples, design=ds)
     want, resid, _, _ = np.linalg.lstsq(ds.matrix, samples * ds.weights,
                                         rcond=None)
     assert math.sqrt(float(resid[0])) > 1.0
@@ -274,7 +274,7 @@ def test_solve_matches_dense_solve():
     model = fourier_model()
     density = SamplingDensity(model, "spectral-mix", m=8)
     nodes = draw_nodes(density, 200, seed=31)
-    ds = assemble_design(model, density, nodes, 8)
+    ds = assemble_design(model, nodes, 8)
     rng = np.random.default_rng(32)
     rhs = rng.standard_normal((7, 3)) + 1j * rng.standard_normal((7, 3))
     normal = ds.matrix.conj().T @ ds.matrix
@@ -288,12 +288,12 @@ def test_atom_mass_must_be_non_negative_and_finite(atom_mass):
     model = fourier_model()
     density = SamplingDensity(model, "plain")
     nodes = equispaced(density, 16)
-    ds = assemble_design(model, density, nodes, 6)
+    ds = assemble_design(model, nodes, 6)
     with pytest.raises(ValueError, match="atom mass"):
         SpectralKernelModel(get_basis("fourier"), PolynomialDecay(1.0),
                             atom_mass=atom_mass)
     with pytest.raises(ValueError, match="atom mass"):
-        wce_nullspace_component(atom_mass, nodes, ds)
+        wce_nullspace_component(atom_mass, ds)
 @pytest.mark.parametrize("model_of", [fourier_model, cosine_model])
 def test_solve_keeps_its_rhs_and_the_bits_of_two_triangular_solves(model_of):
     # solve overwrites only its own intermediate: every rhs, a Fortran block
@@ -302,8 +302,8 @@ def test_solve_keeps_its_rhs_and_the_bits_of_two_triangular_solves(model_of):
     density = SamplingDensity(model, "spectral-mix", m=8)
     nodes = draw_nodes(density, 200, seed=31)
     rng = np.random.default_rng(33)
-    designs = (assemble_design(model, density, nodes, 8),
-               leastsq.gram_design(model, density, nodes, 8))
+    designs = (assemble_design(model, nodes, 8),
+               leastsq.gram_design(model, nodes, 8))
     assert designs[1] is not None
     for ds in designs:
         for rhs in (rng.standard_normal(7), rng.standard_normal((7, 3)),
@@ -327,11 +327,11 @@ def test_recover_is_backward_stable_near_the_rank_cutoff(model_of):
     density = SamplingDensity(model, "plain")
     x = np.array([0.05, 0.3, 0.3 + 1e-10, 0.45, 0.6, 0.6 + 1e-10, 0.8])
     nodes = nodes_from_points(density, x)
-    ds = assemble_design(model, density, nodes, 7)
+    ds = assemble_design(model, nodes, 7)
     cond = np.linalg.cond(ds.matrix)
     assert ds.full_rank and 1e9 < cond < 1e10
     samples = ds.matrix @ np.ones(6) / ds.weights
-    got = recover(model, density, nodes, 7, samples, design=ds).values
+    got = recover(model, nodes, 7, samples, design=ds).values
     want = np.linalg.lstsq(ds.matrix, samples * ds.weights, rcond=None)[0]
     assert (np.linalg.norm(got - want)
             <= 10.0 * cond * np.finfo(float).eps * np.linalg.norm(want))
@@ -399,13 +399,13 @@ def test_blocked_recover_is_backward_stable_near_the_rank_cutoff(model_of):
     model = model_of()
     density = SamplingDensity(model, "plain")
     nodes = clustered_nodes(density, 1e-10)
-    ds = assemble_design(model, density, nodes, 7)
+    ds = assemble_design(model, nodes, 7)
     # [L g] has 7 columns and spans at least three row blocks
     assert nodes.n > 2 * block_rows(7, ds.matrix.dtype) + 7
     cond = np.linalg.cond(ds.matrix)
     assert ds.full_rank and 1e9 < cond < 1e10
     samples = ds.matrix @ np.ones(6) / ds.weights
-    got = recover(model, density, nodes, 7, samples, design=ds).values
+    got = recover(model, nodes, 7, samples, design=ds).values
     want = np.linalg.lstsq(ds.matrix, samples * ds.weights, rcond=None)[0]
     assert (np.linalg.norm(got - want)
             <= 10.0 * cond * np.finfo(float).eps * np.linalg.norm(want))
@@ -416,11 +416,11 @@ def test_blocked_design_with_pairs_1e12_apart_is_rank_deficient(model_of):
     model = model_of()
     density = SamplingDensity(model, "plain")
     nodes = clustered_nodes(density, 1e-12)
-    ds = assemble_design(model, density, nodes, 7)
+    ds = assemble_design(model, nodes, 7)
     assert nodes.n > 2 * block_rows(6, ds.matrix.dtype)
     assert not ds.full_rank
     with pytest.raises(RankDeficientError):
-        recover(model, density, nodes, 7, np.zeros(nodes.n), design=ds)
+        recover(model, nodes, 7, np.zeros(nodes.n), design=ds)
 
 
 def test_design_is_never_held_whole():
@@ -430,7 +430,7 @@ def test_design_is_never_held_whole():
     nodes = draw_nodes(density, 16384, seed=4)
     tracemalloc.start()
     try:
-        ds = assemble_design(model, density, nodes, 60)
+        ds = assemble_design(model, nodes, 60)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -465,7 +465,7 @@ def test_streamed_design_factor_matches_the_whole_design(
     rows = block_rows(6, model.basis.dtype)
     nodes = draw_nodes(density, blocks * rows + extra, seed=blocks)
     seen = spied_geqrf(monkeypatch)
-    ds = assemble_design(model, density, nodes, 7)
+    ds = assemble_design(model, nodes, 7)
     # the design's row blocks, then (past one block) their stacked triangles;
     # each block is factored in place
     assert len(seen) == calls + (calls > 1)
@@ -481,7 +481,7 @@ def test_streamed_design_factor_matches_the_whole_design(
     samples = np.cos(5.0 * nodes.x)
     g = samples * ds.weights
     aug = leastsq._triangle(np.column_stack([matrix, g]))
-    got = recover(model, density, nodes, 7, samples, design=ds)
+    got = recover(model, nodes, 7, samples, design=ds)
     want = solve_triangular(aug[:6, :6], aug[:6, 6], lower=False)
     assert np.array_equal(got.values, want)
     assert got.residual_norm == pytest.approx(
@@ -497,8 +497,8 @@ def test_gram_design_matches_the_factored_design(model_of, kind, n, m):
     model = model_of()
     density = SamplingDensity(model, kind, m=m)
     nodes = draw_nodes(density, n, seed=m)
-    got = leastsq.gram_design(model, density, nodes, m)
-    want = assemble_design(model, density, nodes, m)
+    got = leastsq.gram_design(model, nodes, m)
+    want = assemble_design(model, nodes, m)
     assert got is not None and got.full_rank
     assert np.array_equal(got.weights, want.weights)
     assert np.array_equal(got.indices, want.indices)
@@ -515,13 +515,13 @@ def test_gram_design_matches_the_factored_design(model_of, kind, n, m):
     solved = want.solve(rhs)
     assert (np.linalg.norm(got.solve(rhs) - solved)
             <= 1e-12 * np.linalg.norm(solved))
-    wces = [exact_wce_recovery(model, density, nodes, m, trunc=512,
+    wces = [exact_wce_recovery(model, nodes, m, trunc=512,
                                design=ds) for ds in (got, want)]
     assert wces[0].value_sq == pytest.approx(wces[1].value_sq, rel=1e-12,
                                              abs=0.0)
     assert wces[0].upper_sq == pytest.approx(wces[1].upper_sq, rel=1e-12,
                                              abs=0.0)
-    nulls = [wce_nullspace_component(0.3, nodes, ds) for ds in (got, want)]
+    nulls = [wce_nullspace_component(0.3, ds) for ds in (got, want)]
     assert nulls[0].component == pytest.approx(nulls[1].component,
                                                rel=1e-12, abs=0.0)
     assert nulls[0].within_envelope == nulls[1].within_envelope
@@ -536,15 +536,15 @@ def test_clustered_designs_fall_back_to_the_streamed_qr(model_of, gap):
     model = model_of()
     density = SamplingDensity(model, "plain")
     nodes = clustered_nodes(density, gap)
-    assert leastsq.gram_design(model, density, nodes, 7) is None
-    qr = assemble_design(model, density, nodes, 7)
+    assert leastsq.gram_design(model, nodes, 7) is None
+    qr = assemble_design(model, nodes, 7)
     assert qr.full_rank == (gap == 1e-10)
     if not qr.full_rank:
         with pytest.raises(RankDeficientError):
-            exact_wce_recovery(model, density, nodes, 7, trunc=64)
+            exact_wce_recovery(model, nodes, 7, trunc=64)
         return
-    got = exact_wce_recovery(model, density, nodes, 7, trunc=64)
-    want = exact_wce_recovery(model, density, nodes, 7, trunc=64, design=qr)
+    got = exact_wce_recovery(model, nodes, 7, trunc=64)
+    want = exact_wce_recovery(model, nodes, 7, trunc=64, design=qr)
     assert got == want
     assert got.value_sq.hex() == want.value_sq.hex()
 
@@ -555,12 +555,12 @@ def test_gram_design_checks_its_nodes_as_the_factored_design():
     nodes = nodes_from_points(density, np.array([0.1, 0.5, 0.7]))
     for m in (1, 5):  # empty span, m-1 > n
         with pytest.raises(ValueError):
-            leastsq.gram_design(model, density, nodes, m)
+            leastsq.gram_design(model, nodes, m)
     nodes.x = np.array([0.1, 0.5, 0.5])
     with pytest.raises(ValueError, match="distinct"):
-        leastsq.gram_design(model, density, nodes, 3)
+        leastsq.gram_design(model, nodes, 3)
     with pytest.raises(ValueError, match="distinct"):
-        assemble_design(model, density, nodes, 3)
+        assemble_design(model, nodes, 3)
 
 
 def test_recover_evaluates_each_row_block_once(monkeypatch):
@@ -569,7 +569,7 @@ def test_recover_evaluates_each_row_block_once(monkeypatch):
     model = fourier_model()
     density = SamplingDensity(model, "plain")
     nodes = draw_nodes(density, 20000, seed=5)
-    ds = assemble_design(model, density, nodes, 7)
+    ds = assemble_design(model, nodes, 7)
     seen = []
     rows = leastsq.DesignSystem.rows
 
@@ -578,7 +578,7 @@ def test_recover_evaluates_each_row_block_once(monkeypatch):
         return rows(self, lo, hi)
 
     monkeypatch.setattr(leastsq.DesignSystem, "rows", spied)
-    recover(model, density, nodes, 7, np.cos(5.0 * nodes.x), design=ds)
+    recover(model, nodes, 7, np.cos(5.0 * nodes.x), design=ds)
     spans = leastsq._spans(nodes.n, 7, model.basis.dtype.itemsize)
     assert len(spans) > 1
     assert seen == spans
@@ -590,9 +590,9 @@ def test_square_design_fits_its_samples_exactly(model_of):
     model = model_of()
     density = SamplingDensity(model, "plain")
     nodes = nodes_from_points(density, (np.arange(6) + 0.5) / 6.5)
-    ds = assemble_design(model, density, nodes, 7)
+    ds = assemble_design(model, nodes, 7)
     samples = np.random.default_rng(4).standard_normal(6)
-    got = recover(model, density, nodes, 7, samples, design=ds)
+    got = recover(model, nodes, 7, samples, design=ds)
     assert got.residual_norm == 0.0
     want = np.linalg.solve(ds.matrix, samples * ds.weights)
     np.testing.assert_allclose(got.values, want, rtol=0.0, atol=1e-12)
@@ -608,8 +608,8 @@ def test_gram_design_shares_its_moment_block_without_changing_answers(
     m, N = 10, 128
     density = SamplingDensity(model, kind, m=m)
     nodes = draw_nodes(density, 300, seed=m)
-    got = leastsq.gram_design(model, density, nodes, m, N)
-    want = leastsq.gram_design(model, density, nodes, m)
+    got = leastsq.gram_design(model, nodes, m, N)
+    want = leastsq.gram_design(model, nodes, m)
     assert got.moments.shape == (m - 1, N)
     assert want.moments.shape == (m - 1, m - 1)
     for key in ("lambda_min", "lambda_max"):
@@ -620,7 +620,7 @@ def test_gram_design_shares_its_moment_block_without_changing_answers(
     assert (np.linalg.norm(got.solve(rhs) - solved)
             <= 1e-12 * np.linalg.norm(solved))
     kept = got.moments.copy()
-    wces = [exact_wce_recovery(model, density, nodes, m, trunc=N, design=ds)
+    wces = [exact_wce_recovery(model, nodes, m, trunc=N, design=ds)
             for ds in (got, got, want)]
     # the kept block is read, never scaled in place
     assert np.array_equal(got.moments, kept)

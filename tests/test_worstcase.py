@@ -159,9 +159,9 @@ def wce_setup(n=40, m=4, seed=1):
 
 def test_recovery_dense_vs_secular():
     model, density, nodes = wce_setup(n=30, m=4)
-    dense = exact_wce_recovery(model, density, nodes, 4, trunc=550)
-    secular = exact_wce_recovery(model, density, nodes, 4, trunc=700)
-    em = recovery_error_matrix(model, density, nodes, 4, trunc=700)
+    dense = exact_wce_recovery(model, nodes, 4, trunc=550)
+    secular = exact_wce_recovery(model, nodes, 4, trunc=700)
+    em = recovery_error_matrix(model, nodes, 4, trunc=700)
     top = float(np.linalg.svd(em.matrix, compute_uv=False)[0])
     assert secular.value_sq == pytest.approx(top * top, rel=1e-10)
     # value grows with truncation, residual shrinks
@@ -184,8 +184,8 @@ def test_recovery_secular_matches_dense_oracle(case, m, trunc):
         nodes = draw_nodes(density, 100, seed=1)
     else:
         model, density, nodes = wce_setup(n=40, m=m, seed=2)
-    wce = exact_wce_recovery(model, density, nodes, m, trunc=trunc)
-    em = recovery_error_matrix(model, density, nodes, m, trunc=trunc)
+    wce = exact_wce_recovery(model, nodes, m, trunc=trunc)
+    em = recovery_error_matrix(model, nodes, m, trunc=trunc)
     top = float(np.linalg.svd(em.matrix, compute_uv=False)[0])
     assert wce.trunc_dim == trunc
     if trunc == m - 1:
@@ -200,8 +200,8 @@ def test_recovery_secular_near_the_cost_cliff(seed):
     model = fourier_poly()
     density = SamplingDensity(model, "plain")
     nodes = draw_nodes(density, 400, seed=seed)
-    wce = exact_wce_recovery(model, density, nodes, 121, trunc=128)
-    em = recovery_error_matrix(model, density, nodes, 121, trunc=128)
+    wce = exact_wce_recovery(model, nodes, 121, trunc=128)
+    em = recovery_error_matrix(model, nodes, 121, trunc=128)
     top_sq = float(np.linalg.svd(em.matrix, compute_uv=False)[0]) ** 2
     assert abs(wce.value_sq - top_sq) <= 1e-10 * top_sq
     # the upper bracket end is returned; the SVD carries a few eps of its
@@ -212,8 +212,8 @@ def test_recovery_secular_near_the_cost_cliff(seed):
 def test_recovery_value_bounded_by_single_function():
     # the first excluded eigenfunction gives a lower bound on the sup
     model, density, nodes = wce_setup(n=50, m=5)
-    wce = exact_wce_recovery(model, density, nodes, 5, trunc=400)
-    em = recovery_error_matrix(model, density, nodes, 5, trunc=400)
+    wce = exact_wce_recovery(model, nodes, 5, trunc=400)
+    em = recovery_error_matrix(model, nodes, 5, trunc=400)
     e = np.zeros(em.matrix.shape[1])
     e[4] = 1.0  # unit coefficient on eta_m, H-norm 1
     val = float(np.linalg.norm(em.matrix @ e) ** 2)
@@ -222,8 +222,8 @@ def test_recovery_value_bounded_by_single_function():
 
 def test_recovery_mc_power_iteration_oracle():
     model, density, nodes = wce_setup(n=45, m=4, seed=3)
-    wce = exact_wce_recovery(model, density, nodes, 4, trunc=300)
-    em = recovery_error_matrix(model, density, nodes, 4, trunc=300)
+    wce = exact_wce_recovery(model, nodes, 4, trunc=300)
+    em = recovery_error_matrix(model, nodes, 4, trunc=300)
     raw, refined = mc_sup_singular(em.matrix, 10_000, trial_rng(77))
     assert raw <= math.sqrt(wce.value_sq) + 1e-10
     assert refined >= 0.99 * math.sqrt(wce.value_sq)
@@ -269,6 +269,17 @@ def test_discretization_weighted_matches_manual():
                                       rel=1e-12)
 
 
+@pytest.mark.parametrize("weights", [
+    np.full(30, math.nan), np.r_[np.ones(29), math.inf],
+    np.r_[np.ones(29), -1.0], np.ones(29)],
+    ids=["nan", "inf", "negative", "wrong-length"])
+def test_discretization_rejects_weights_not_finite_and_non_negative(weights):
+    # trunc above the dense cutoff: nothing may reach the Lanczos solve
+    x = trial_rng(4).random(30)
+    with pytest.raises(ValueError, match="weights"):
+        exact_wce_discretization(cosine_sob(), x, weights=weights, trunc=64)
+
+
 def test_discretization_lanczos_agrees_with_dense():
     model = cosine_sob()
     rng = trial_rng(55)
@@ -288,8 +299,8 @@ def test_nullspace_identity_gram():
                                 atom_mass=0.4)
     density = SamplingDensity(model, "plain")
     nodes = nodes_from_points(density, np.arange(20) / 20.0)
-    ds = assemble_design(model, density, nodes, 5)
-    rep = wce_nullspace_component(0.4, nodes, ds)
+    ds = assemble_design(model, nodes, 5)
+    rep = wce_nullspace_component(0.4, ds)
     assert rep.component == pytest.approx(0.4 / 20, rel=1e-10)
     assert rep.envelope == pytest.approx(2 * 0.4 / 20, rel=1e-12)
     assert rep.within_envelope is True
@@ -305,12 +316,12 @@ def test_nullspace_component_matches_the_dense_formula(name, kind, m):
                                 atom_mass=0.3)
     density = SamplingDensity(model, kind, m=m)
     nodes = draw_nodes(density, 60, seed=3)
-    ds = assemble_design(model, density, nodes, m)
+    ds = assemble_design(model, nodes, m)
     if name == "cosine" and kind != "plain":
         assert np.ptp(ds.weights) > 0.1
     M = ds.solve(ds.matrix.conj().T) * ds.weights[None, :]
     want = 0.3 * float(np.linalg.eigvalsh(M @ M.conj().T)[-1])
-    rep = wce_nullspace_component(0.3, nodes, ds)
+    rep = wce_nullspace_component(0.3, ds)
     assert rep.component == pytest.approx(want, rel=1e-12, abs=0.0)
 
 
@@ -324,8 +335,8 @@ def test_power_iteration_norm():
 
 def test_wce_residual_is_conservative():
     model, density, nodes = wce_setup(n=35, m=4, seed=5)
-    small = exact_wce_recovery(model, density, nodes, 4, trunc=80)
-    big = exact_wce_recovery(model, density, nodes, 4, trunc=2000)
+    small = exact_wce_recovery(model, nodes, 4, trunc=80)
+    big = exact_wce_recovery(model, nodes, 4, trunc=2000)
     # the small truncation's upper estimate must cover the larger value
     assert small.upper_sq >= big.value_sq - 1e-12
 
@@ -366,8 +377,8 @@ def test_secular_step_cap_stays_conservative(monkeypatch, steps, seed):
     model = fourier_poly()
     density = SamplingDensity(model, "plain")
     nodes = draw_nodes(density, 400, seed=seed)
-    wce = exact_wce_recovery(model, density, nodes, 121, trunc=128)
-    em = recovery_error_matrix(model, density, nodes, 121, trunc=128)
+    wce = exact_wce_recovery(model, nodes, 121, trunc=128)
+    em = recovery_error_matrix(model, nodes, 121, trunc=128)
     top_sq = float(np.linalg.svd(em.matrix, compute_uv=False)[0]) ** 2
     assert wce.value_sq >= top_sq
 
@@ -378,10 +389,10 @@ def test_nullspace_component_on_a_rank_deficient_design_raises():
     density = SamplingDensity(model, "plain")
     x = np.array([0.3, 0.3 + 1e-13, 0.30000001 + 1e-13])
     nodes = nodes_from_points(density, x)
-    ds = assemble_design(model, density, nodes, 4)
+    ds = assemble_design(model, nodes, 4)
     assert not ds.full_rank
     with pytest.raises(RankDeficientError):
-        wce_nullspace_component(0.2, nodes, ds)
+        wce_nullspace_component(0.2, ds)
 
 
 _CAP_CONFIGS = {
@@ -409,7 +420,7 @@ def _cap_config_wces(monkeypatch, text, steps):
         for t in range(cfg.trials):
             nodes = draw_nodes(density, n, cfg.seed,
                                g * ex._SWEEP_STREAM_STRIDE + t)
-            out.append(exact_wce_recovery(model, density, nodes, m,
+            out.append(exact_wce_recovery(model, nodes, m,
                                           trunc=cfg.trunc))
     return out
 
@@ -483,16 +494,16 @@ def test_secular_step_cap_is_reported(monkeypatch, steps, seed):
     model = fourier_poly()
     density = SamplingDensity(model, "plain")
     nodes = draw_nodes(density, 400, seed=seed)
-    _, C, d, _, _, _ = worstcase._recovery_parts(model, density, nodes, 121,
-                                                 128, None)
+    C, d, _, _, _ = worstcase._recovery_parts(model, nodes, 121,
+                                              128, None)
     monkeypatch.setattr(worstcase, "_SECULAR_STEPS", steps)
-    wce = exact_wce_recovery(model, density, nodes, 121, trunc=128)
+    wce = exact_wce_recovery(model, nodes, 121, trunc=128)
     value, width = _secular_replay(d, C, steps)
     assert wce.value_sq.hex() == value.hex()
     assert wce.secular_capped
     assert wce.secular_width == width > worstcase._SECULAR_WIDTH
     monkeypatch.setattr(worstcase, "_SECULAR_STEPS", 90)
-    closed = exact_wce_recovery(model, density, nodes, 121, trunc=128)
+    closed = exact_wce_recovery(model, nodes, 121, trunc=128)
     assert not closed.secular_capped
     assert closed.secular_width <= worstcase._SECULAR_WIDTH
     assert closed.value_sq.hex() == _secular_replay(d, C, 90)[0].hex()
@@ -506,10 +517,10 @@ def test_secular_step_cap_after_the_upper_end_moved(monkeypatch):
     density = SamplingDensity(model, "plain")
     nodes = draw_nodes(density, 2000, seed=2)
     monkeypatch.setattr(worstcase, "_SECULAR_STEPS", 0)
-    start = exact_wce_recovery(model, density, nodes, 30, trunc=512)
+    start = exact_wce_recovery(model, nodes, 30, trunc=512)
     monkeypatch.setattr(worstcase, "_SECULAR_STEPS", 4)
-    wce = exact_wce_recovery(model, density, nodes, 30, trunc=512)
-    em = recovery_error_matrix(model, density, nodes, 30, trunc=512)
+    wce = exact_wce_recovery(model, nodes, 30, trunc=512)
+    em = recovery_error_matrix(model, nodes, 30, trunc=512)
     top_sq = float(np.linalg.svd(em.matrix, compute_uv=False)[0]) ** 2
     assert wce.secular_capped
     assert 1e-12 < wce.secular_width < 1e-10
