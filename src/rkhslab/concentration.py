@@ -43,6 +43,9 @@ class KernelVectorFamily:
         # an exact difference of tail functions
         m_sq = model.tail_function(1) - model.tail_function(self.dim + 1)
         self.m_bound = math.sqrt(m_sq)
+        # every trial scales its Gram by sigma_j sigma_k / n, less Lambda
+        self._outer = np.outer(self.sig, self.sig)
+        self._lambda = self.expectation()
 
     def describe(self):
         return {"kind": "kernel", "basis": self.model.basis.name,
@@ -61,16 +64,15 @@ class KernelVectorFamily:
         moment Gram sum_i conj(eta_j(x_i)) eta_k(x_i); no n x dim block.
 
         Each vector's squared norm is the finite sum of lambda_k |eta_k(x)|^2
-        over k <= dim, read per node from the basis.
+        over k <= dim, read per node from the basis in the pass that forms
+        the Gram, and checked before the deviation matrix is.
         """
         x = rng.random(n)
-        basis = self.model.basis
-        _check_norms(basis.weighted_head_at(self.model.rule, self.dim, x),
-                     self.m_bound)
-        ks = np.arange(1, self.dim + 1)
-        E = basis.weighted_gram(ks, ks, x, 1.0)
-        E *= np.outer(self.sig, self.sig) / n
-        E -= self.expectation()
+        norms_sq, E = self.model.basis.head_and_gram(self.model.rule,
+                                                     self.dim, x)
+        _check_norms(norms_sq, self.m_bound)
+        E *= self._outer / n
+        E -= self._lambda
         return _spectral_norm(E)
 
 
@@ -140,12 +142,15 @@ class TwoPointVectorFamily:
 
 
 def _check_norms(norms_sq, m_bound):
-    """Raise if a squared vector norm exceeds the stated bound; such a
-    vector is a generation bug."""
-    if np.any(norms_sq > (m_bound ** 2) * _NORM_SLACK ** 2):
+    """Raise if a squared vector norm is not finite or exceeds the stated
+    bound; such a vector is a generation bug."""
+    within = np.isfinite(norms_sq) & (norms_sq <= (m_bound ** 2)
+                                      * _NORM_SLACK ** 2)
+    if not np.all(within):
+        worst = float(np.max(np.abs(norms_sq[~within])))
         raise ValueError(
-            "sampled vector norm %.6g exceeds the stated bound %.6g"
-            % (math.sqrt(float(norms_sq.max())), m_bound))
+            "sampled vector norm %.6g exceeds the stated bound %.6g or is "
+            "not finite" % (math.sqrt(worst), m_bound))
 
 
 def _spectral_norm(E):
@@ -158,8 +163,9 @@ def deviation_trial(family, n, rng):
     """One realization of ||(1/n) sum y y* - Lambda||, by the family's own
     exact Gram.
 
-    A vector exceeding the family's stated norm bound is a generation bug
-    and raises immediately, before any Gram is formed.
+    A vector exceeding the family's stated norm bound, or of a non-finite
+    norm, is a generation bug and raises before the deviation matrix is
+    formed.
     """
     return family.deviation(rng, int(n))
 

@@ -24,9 +24,13 @@ n-vector multiply per frequency.  Basis blocks gather its rows, started at
 the exact exp(i*lo*theta) of their lowest frequency; weighted moments and
 trigonometric series split f = c*B + b with B near sqrt(top) and contract a
 rotation table (b < B) with an anchor table (steps of exp(i*B*theta)), one
-block of nodes at a time.  Only closed forms (geometric sums, the cosine
-series of 1/(1+j^2) and its sine companion) evaluate trigonometric functions
-directly.
+block of nodes at a time, a block sized so that its tables hold about 2^16
+complex cells.  The cosine basis reads only the real parts of the moments:
+one real product of the interleaved tables, and in the same pass the
+per-node series of a kernel family's norms.  Only closed forms (geometric
+sums, the cosine series of 1/(1+j^2) and its sine companion) evaluate
+trigonometric functions directly; exp(i*theta) itself is written from cos
+and sin, the bits of a complex ``exp``.
 """
 
 import math
@@ -39,7 +43,8 @@ from .errors import DomainError, TruncationError
 TWO_PI = 2.0 * math.pi
 _EPS_TRUNC_REL = 1e-10  # truncation tolerance relative to the trace
 _TERNARY_STEPS = 40  # refinement steps after the grid scan of grid_maximum
-_NODE_BLOCK = 1024  # nodes per pair of split tables
+_NODE_BLOCK = 1024  # fewest nodes per pair of split tables
+_TABLE_CELLS = 1 << 16  # complex cells (1 MiB) of a pair of wider ones
 
 
 # ---------------------------------------------------------------------------
@@ -253,31 +258,48 @@ def _split_shape(top):
 
 def _split_tables(theta, v, top):
     """Anchor and rotation tables for the frequencies f = c*B + b <= top,
-    one block of ``_NODE_BLOCK`` nodes at a time.
+    one block of nodes at a time.
 
     Yields (node slice, A, R) per block in node order, with the shapes of
     ``_split_shape``.  The rotation table R holds exp(i*b*theta_i) for b < B
     and the anchor table A holds v_i exp(i*c*B*theta_i) (a scalar v weights
     every node alike); both are powers of the one exact ``exp(i*theta)``,
+    written from cos and sin into row 1 of R with no complex temporary,
     e^{iB theta} being one more step of R, so each row costs one
-    block-vector multiply.  Every block refills the same two tables, views of
-    one buffer, so a block's tables hold until the next block is drawn and
+    block-vector multiply.  A block holds ``_TABLE_CELLS`` / (B + 1 + C)
+    nodes, and at least ``_NODE_BLOCK``, so few frequencies take many nodes
+    per block.  Every block refills the same two tables, views of one
+    buffer, so a block's tables hold until the next block is drawn and
     memory is O(block sqrt(top)) whatever the node count.  Each node's
     entries are the bits unblocked tables would hold.
     """
     count, step = _split_shape(top)
-    width = min(theta.size, _NODE_BLOCK)
+    rows = step + 1 + count
+    block = max(_NODE_BLOCK, _TABLE_CELLS // rows)
     # one block: two ~0.7 MB ones go back to the OS and fault in per call
-    tables = np.empty((step + 1 + count, width), dtype=complex)
+    tables = np.empty((rows, min(theta.size, block)), dtype=complex)
     rotations, anchors = tables[: step + 1], tables[step + 1:]
     # an empty theta still yields one (empty) block
-    for lo in range(0, max(theta.size, 1), _NODE_BLOCK):
-        part = slice(lo, lo + _NODE_BLOCK)
-        ratio = np.exp(1j * theta[part])
-        rot = _geometric_rows(1.0, ratio, rotations[:, : ratio.size])
+    for lo in range(0, max(theta.size, 1), block):
+        part = slice(lo, lo + block)
+        chunk = theta[part]
+        ratio = rotations[1, : chunk.size]
+        np.cos(chunk, out=ratio.real)
+        np.sin(chunk, out=ratio.imag)
+        # row 1 is the ratio itself: its step is 1 * ratio in place
+        rot = _geometric_rows(1.0, ratio, rotations[:, : chunk.size])
         anc = _geometric_rows(v[part] if np.ndim(v) else v, rot[step],
-                              anchors[:, : ratio.size])
+                              anchors[:, : chunk.size])
         yield part, anc, rot[:step]
+
+
+def _coef_table(coef, top):
+    """coef[f] for f = 0..top laid out as the C x B table of
+    ``_split_shape``, entry (c, b) at f = c*B + b, zero past top."""
+    count, step = _split_shape(top)
+    table = np.zeros(count * step, dtype=coef.dtype)
+    table[: coef.size] = coef
+    return table.reshape(count, step)
 
 
 def _weighted_moments(theta, v, top):
@@ -286,8 +308,8 @@ def _weighted_moments(theta, v, top):
     With f = c*B + b, S(f) is entry (c, b) of the sum over node blocks of
     A R^T for the tables of ``_split_tables``, both powers of exp(i*theta)
     by the one recurrence of ``_geometric_rows``.  The blocks are added in
-    node order to the first block's product, so up to ``_NODE_BLOCK`` nodes
-    give the one product of the unblocked tables bit for bit; memory is
+    node order to the first block's product, so up to one block of nodes
+    gives the one product of the unblocked tables bit for bit; memory is
     O(block sqrt(top)).  The recurrence steps add (B + C) * eps of drift; the
     rounding of exp(i*theta) itself grows with f to about top * eps, the
     order of the rounding of the argument f*theta in a direct ``exp``.
@@ -300,19 +322,43 @@ def _weighted_moments(theta, v, top):
     return total.ravel()[: top + 1]
 
 
+def _cosine_moments(theta, v, top, coef=None):
+    """Re S(f) = sum_i v_i cos(f*theta_i) for f = 0..top and, given coef
+    for f = 0..top, the series v_i sum_f coef[f] cos(f*theta_i) at each
+    node (else None), from one pass of ``_split_tables``.
+
+    Re(A R^T) is one real product of the interleaved (re, im) tables, conj(A)
+    against R, at half the flops of the complex one; conj(A) is written over
+    A in place.  The series is Re sum_c A[c, i] (M R)[c, i], coef laid out
+    as the table M of ``_coef_table``, in the same real arithmetic.  Each
+    moment sums its node terms in another order than the real part of
+    ``_weighted_moments``, within a few eps of it.
+    """
+    total = 0.0
+    series = None if coef is None else np.empty(theta.size)
+    table = None if coef is None else _coef_table(coef, top)
+    for part, anchors, rotations in _split_tables(theta, v, top):
+        conj = np.conjugate(anchors, out=anchors).view(float)
+        rot = rotations.view(float)
+        total = total + conj @ rot.T
+        if table is not None:
+            terms = table @ rot
+            terms *= conj
+            pairs = terms.sum(axis=0)
+            np.add(pairs[0::2], pairs[1::2], out=series[part])
+    return total.ravel()[: top + 1], series
+
+
 def _trig_series(theta, coef):
     """sum_f coef[f] exp(i*f*theta) at each theta, f = 0..len(coef) - 1.
 
     The transposed contraction of ``_weighted_moments``: with coef laid out
-    as a C x B table M, the series at theta_i is sum_c A[c, i] (M R)[c, i],
-    written block by block of nodes.
+    as the C x B table M of ``_coef_table``, the series at theta_i is
+    sum_c A[c, i] (M R)[c, i], written block by block of nodes.
     """
     theta = np.asarray(theta, dtype=float)
     top = coef.size - 1
-    count, step = _split_shape(top)
-    table = np.zeros(count * step, dtype=coef.dtype)
-    table[: coef.size] = coef
-    table = table.reshape(count, step)
+    table = _coef_table(coef, top)
     out = np.empty(theta.size, dtype=complex)
     for part, anchors, rotations in _split_tables(theta.ravel(), 1.0, top):
         np.sum(anchors * (table @ rotations), axis=0, out=out[part])
@@ -423,10 +469,12 @@ class FourierBasis:
     def weighted_tail_max(self, rule, m):
         return rule.tail(m)
 
-    def weighted_head_at(self, rule, dim, x):
-        """sum_{k <= dim} lambda_k |eta_k(x)|^2, the same at every x."""
-        head = float(np.sum(rule.values(np.arange(1, dim + 1))))
-        return np.full(np.shape(x), head)
+    def head_and_gram(self, rule, dim, x):
+        """(sum_{k <= dim} lambda_k |eta_k(x_i)|^2 at each node, the same at
+        every node, and weighted_gram(1..dim, 1..dim, x, 1))."""
+        ks = np.arange(1, dim + 1)
+        head = float(np.sum(rule.values(ks)))
+        return np.full(np.shape(x), head), self.weighted_gram(ks, ks, x, 1.0)
 
     def weighted_tail_cdf(self, rule, m, x):
         """sum_{k >= m} lambda_k F_k(x); every |eta_k|^2 is uniform."""
@@ -495,13 +543,25 @@ class CosineBasis:
         x = self.canonical(np.atleast_1d(x))
         a = np.atleast_1d(np.asarray(rows, dtype=np.int64)) - 1
         b = np.atleast_1d(np.asarray(cols, dtype=np.int64)) - 1
-        cm = _weighted_moments(math.pi * x, np.asarray(v, dtype=float),
-                               int(a.max() + b.max())).real
-        out = np.take(cm, np.abs(a[:, None] - b[None, :]))
-        out += np.take(cm, a[:, None] + b[None, :])
-        out *= np.where(a == 0, math.sqrt(0.5), 1.0)[:, None]
-        out *= np.where(b == 0, math.sqrt(0.5), 1.0)[None, :]
-        return out
+        cm, _ = _cosine_moments(math.pi * x, np.asarray(v, dtype=float),
+                                int(a.max() + b.max()))
+        return _cosine_gram(cm, a, b)
+
+    def head_and_gram(self, rule, dim, x):
+        """(sum_{k <= dim} lambda_k |eta_k(x_i)|^2 at each node, and
+        weighted_gram(1..dim, 1..dim, x, 1)) from one table pass at pi x.
+
+        |eta_k|^2 = 1 + cos(2 (k-1) pi x) for k >= 2 makes the norms the
+        eigenvalue sum plus a series at the even frequencies 2 (k-1) of the
+        Gram's moments, up to their top 2 (dim - 1).
+        """
+        x = self.canonical(np.atleast_1d(x))
+        lam = rule.values(np.arange(1, dim + 1))
+        coef = np.zeros(2 * dim - 1)
+        coef[2::2] = lam[1:]
+        cm, series = _cosine_moments(math.pi * x, 1.0, 2 * dim - 2, coef)
+        freqs = np.arange(dim)
+        return float(np.sum(lam)) + series, _cosine_gram(cm, freqs, freqs)
 
     def gram_matvec(self, N, x, v):
         """u -> weighted_gram(1..N, 1..N, x, v) @ u through a circulant.
@@ -514,6 +574,8 @@ class CosineBasis:
         """
         x = self.canonical(np.atleast_1d(x))
         size = 1 << (3 * N - 3).bit_length()
+        # the complex moments: at a discretization's top 2N - 2 = 1022 the
+        # real product of _cosine_moments measured no faster
         cm = _weighted_moments(math.pi * x, np.asarray(v, dtype=float),
                                2 * N - 2).real
         col = np.zeros(size)
@@ -607,13 +669,6 @@ class CosineBasis:
         osc, res = self._osc_tail(rule, m, TWO_PI * x)
         return rule.tail(m) + osc, res
 
-    def weighted_head_at(self, rule, dim, x):
-        """sum_{k <= dim} lambda_k |eta_k(x)|^2: the eigenvalue sum plus
-        one (dim - 1)-term cosine series."""
-        x = self.canonical(np.atleast_1d(x))
-        head = float(np.sum(rule.values(np.arange(1, dim + 1))))
-        return head + _freq_series(rule, 2, dim, TWO_PI * x).real
-
     def weighted_tail_max(self, rule, m):
         if m <= 1:
             return rule.value(1) + 2.0 * rule.tail(2)
@@ -639,6 +694,17 @@ class CosineBasis:
                 "off-diagonal kernel series for rule %r cannot reach eps=%.3e"
                 % (rule.name, eps))
         return complex(rule.value(1) + osc[0] + osc[1]), residual
+
+
+def _cosine_gram(cm, a, b):
+    """The cosine Gram at frequencies a (rows) and b (cols) from the real
+    moments cm: s_a s_b (cm(|a-b|) + cm(a+b)), s_0 = 1/sqrt(2), else 1."""
+    index = a[:, None] - b[None, :]
+    out = cm.take(np.abs(index, out=index))
+    out += cm.take(np.add(a[:, None], b[None, :], out=index))
+    out[a == 0] *= math.sqrt(0.5)
+    out[:, b == 0] *= math.sqrt(0.5)
+    return out
 
 
 def _freq_series(rule, lo, hi, theta, sine=False):

@@ -168,7 +168,7 @@ def test_kernel_deviation_from_moment_gram_matches_explicit_block(basis,
         x = trial_rng(171, t).random(n)
         Y = fam.sample(trial_rng(171, t), n)
         np.testing.assert_allclose(
-            model.basis.weighted_head_at(model.rule, dim, x),
+            model.basis.head_and_gram(model.rule, dim, x)[0],
             np.sum(np.abs(Y) ** 2, axis=1), rtol=1e-13)
 
 
@@ -195,6 +195,17 @@ def test_understated_kernel_norm_bound_raises():
     fam.m_bound *= 0.9
     with pytest.raises(ValueError, match="exceeds the stated bound"):
         deviation_trial(fam, 200, trial_rng(2))
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_norm_check_rejects_non_finite_norms(bad):
+    from rkhslab.concentration import _check_norms
+    _check_norms(np.array([1.0, 0.25]), 1.0)
+    # NaN fails every comparison, so a bare "exceeds" test lets it through
+    with pytest.raises(ValueError, match="not finite"):
+        _check_norms(np.array([1.0, bad]), 1.0)
+    with pytest.raises(ValueError, match="not finite"):
+        _check_norms(np.array([bad]), math.inf)
 
 
 def test_two_point_norm_check_reads_the_drawn_vectors():

@@ -627,6 +627,21 @@ def test_kinds_without_a_flagged_record_reraise(monkeypatch, kind, target,
         ex.run(build("kind = %s\n" % kind + text))
 
 
+def test_eig_check_fails_past_the_stability_edge():
+    # negative control: m = 64 at n = 500 is far past the Gram stability
+    # edge, so most trials see lambda_min < 1/2 and the gate must fail; a
+    # Gram that lifted lambda_min would pass here
+    rep = ex.run(build("kind = eig-check\nbasis = cosine\ndecay = sobolev\n"
+                       "s = 1.0\ndensity = plain\nn = 500\nr = 2.0\n"
+                       "m_rule = fixed\nm = 64\ntrials = 200\nseed = 0\n"))
+    rows = _columns(rep, "eig_ok", "lambda_min")
+    assert len(rows) == 200
+    assert all(ok == (low >= 0.5) for ok, low in rows)
+    assert rep.summary["eig_fail_rate"] > 0.9
+    assert rep.summary["eig_fail_rate"] > rep.summary["eig_fail_bound"]
+    assert rep.summary["pass"] is False
+
+
 def test_report_holds_about_ten_cells_per_eig_check_row():
     # an eig-check row is 7 int and 3 float cells, 80 B in the two typed
     # blocks; a list of boxed cells held about 321 B

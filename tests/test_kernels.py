@@ -379,6 +379,50 @@ def test_blocked_contractions_match_direct_sums(n, scalar_v):
     assert np.max(np.abs(got - want)) <= 1e-12 * np.sum(np.abs(coef))
 
 
+@pytest.mark.parametrize("top", [16, 126])
+@pytest.mark.parametrize("offset", [-1, 0, 1])
+@pytest.mark.parametrize("scalar_v", [False, True])
+def test_real_cosine_moments_match_explicit_blocks(top, offset, scalar_v):
+    # node counts around one block of the tables at the tops of eig-check's
+    # 9 x 9 Gram and the kernel family's 64 x 64 one: above 1024 nodes the
+    # block is sized by table cells
+    from rkhslab import kernels
+    count, step = kernels._split_shape(top)
+    block = kernels._TABLE_CELLS // (step + 1 + count)
+    assert block > _NODE_BLOCK
+    n = block + offset
+    theta = math.pi * np.random.default_rng(top + n).random(n)
+    blocks = sum(1 for _ in kernels._split_tables(theta, 1.0, top))
+    assert blocks == (2 if offset > 0 else 1)
+
+    cb = get_basis("cosine")
+    rng = np.random.default_rng(47)
+    x = rng.random(n)
+    v = 2.5 if scalar_v else rng.random(n) * 4.0 + 0.1
+    scale = np.sum(np.abs(np.broadcast_to(v, x.shape)))
+    ks = np.arange(1, top // 2 + 2)
+    got = cb.weighted_gram(ks, ks, x, v)
+    block_eta = cb.eval_block(ks, x)
+    want = block_eta.T @ (np.broadcast_to(v, x.shape)[:, None] * block_eta)
+    assert np.max(np.abs(got - want)) <= 1e-12 * scale
+
+    # the series that rides on the same tables, v_i sum_f coef[f] cos(f th)
+    coef = rng.standard_normal(top + 1)
+    _, series = kernels._cosine_moments(math.pi * x, np.asarray(v), top,
+                                        coef)
+    want = np.broadcast_to(v, x.shape) * (
+        np.cos(np.outer(math.pi * x, np.arange(top + 1))) @ coef)
+    assert (np.max(np.abs(series - want))
+            <= 1e-12 * np.sum(np.abs(coef)) * np.max(np.abs(v)))
+
+    # the kernel family's per-node norms are the block's weighted row norms
+    rule = SobolevDecay(1.0)
+    norms, gram = cb.head_and_gram(rule, ks.size, x)
+    lam = rule.values(ks)
+    np.testing.assert_allclose(norms, block_eta ** 2 @ lam, rtol=1e-13)
+    assert np.max(np.abs(gram - block_eta.T @ block_eta)) <= 1e-12 * n
+
+
 def _grid_points(rng, count):
     """Points of [0, 1) on a 2^-30 grid, so f * x is exact for f < 2^23."""
     return rng.integers(0, 2 ** 30, count) / 2.0 ** 30

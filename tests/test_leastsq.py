@@ -549,6 +549,41 @@ def test_clustered_designs_fall_back_to_the_streamed_qr(model_of, gap):
     assert got.value_sq.hex() == want.value_sq.hex()
 
 
+@pytest.mark.parametrize("scale, cholesky", [(0.5, False), (0.79, False),
+                                            (0.795, True)])
+def test_cholesky_selection_at_the_gram_rtol_edge(scale, cholesky):
+    # 40 sorted uniform nodes squeezed into [0, scale): at 0.5 the Gram's
+    # eigenvalue ratio is about 1.8e-6, and it crosses GRAM_RTOL = 1e-2
+    # between 0.79 (9.9e-3) and 0.795 (1.1e-2)
+    model = cosine_model()
+    density = SamplingDensity(model, "plain")
+    x = scale * np.sort(np.random.default_rng(2).random(40))
+    nodes = nodes_from_points(density, x)
+    spectrum = leastsq.gram_spectrum(model, nodes, 6)
+    ratio = spectrum.lambda_min / spectrum.lambda_max
+    if scale == 0.5:
+        assert 1e-6 < ratio < 1e-5
+    else:
+        assert 0.5 < ratio / leastsq.GRAM_RTOL < 2.0
+    got = leastsq.gram_design(model, nodes, 6)
+    assert (got is not None) == cholesky
+    assert (ratio > leastsq.GRAM_RTOL) == cholesky
+    qr = assemble_design(model, nodes, 6)
+    if not cholesky:
+        # recovery then reads the QR's bits
+        assert (exact_wce_recovery(model, nodes, 6, trunc=64)
+                == exact_wce_recovery(model, nodes, 6, trunc=64, design=qr))
+        return
+    rhs = np.random.default_rng(0).standard_normal((5, 3))
+    want = qr.solve(rhs)
+    assert np.linalg.norm(got.solve(rhs) - want) <= 1e-10 * np.linalg.norm(
+        want)
+    wces = [exact_wce_recovery(model, nodes, 6, trunc=64, design=ds)
+            for ds in (got, qr)]
+    assert wces[0].value_sq == pytest.approx(wces[1].value_sq, rel=1e-10,
+                                             abs=0.0)
+
+
 def test_gram_design_checks_its_nodes_as_the_factored_design():
     model = cosine_model()
     density = SamplingDensity(model, "plain")
