@@ -55,10 +55,11 @@ _TABLE_CELLS = 1 << 16  # complex cells (1 MiB) of a pair of wider ones
 class EigenvalueRule:
     """Non-increasing positive sequence with exact tail sums.
 
-    Indices are 1-based.  ``tail(m)`` returns sum_{k >= m} lambda_k; for the
-    built-in rules this is exact (closed form or Euler-Maclaurin with a
-    remainder far below float resolution), which is what makes deep
-    truncation-residual bookkeeping cheap.
+    Indices are 1-based.  ``tail(m)`` returns sum_{k >= m} lambda_k, the
+    trace ``total()`` for every m < 1; for the built-in rules this is exact
+    (closed form or Euler-Maclaurin with a remainder far below float
+    resolution), which is what makes deep truncation-residual bookkeeping
+    cheap.
     """
 
     name = "abstract"
@@ -98,8 +99,59 @@ class EigenvalueRule:
         return lo
 
 
+_ZETA_A = (12.0, -720.0, 30240.0, -1209600.0, 47900160.0,
+           -1.8924375803183791606e9, 7.47242496e10, -2.950130727918164224e12,
+           1.1646782814350067249e14, -4.5979787224074726105e15,
+           1.8152105401943546773e17, -7.1661652561756670113e18)
+_MACHEP = 1.11022302462515654042e-16
+
+
+def _hurwitz_zeta(x, q):
+    """sum_{k >= 0} (k + q)^(-x) for x > 1, q >= 1: Cephes ``zeta``, the
+    routine behind scipy.special.zeta, step for step (so bit for bit).
+
+    Past q = 1e8 the first two terms of the expansion in 1/q (DLMF
+    25.11.43); below it the sum runs until a term falls under MACHEP, at
+    least ten terms and up to k + q > 9, and Euler-Maclaurin with up to
+    twelve Bernoulli terms (A[i] = (2i+2)! / B_{2i+2}) closes it."""
+    if q > 1e8:
+        return (1.0 / (x - 1.0) + 1.0 / (2.0 * q)) * q ** (1.0 - x)
+    s = q ** -x
+    a = q
+    i = 0
+    b = 0.0
+    while i < 9 or a <= 9.0:
+        i += 1
+        a += 1.0
+        b = a ** -x
+        s += b
+        if abs(b / s) < _MACHEP:
+            return s
+    w = a
+    s += b * w / (x - 1.0)
+    s -= 0.5 * b
+    a = 1.0
+    k = 0.0
+    for c in _ZETA_A:
+        a *= x + k
+        b /= w
+        t = a * b / c
+        s += t
+        if abs(t / s) < _MACHEP:
+            return s
+        k += 1.0
+        a *= x + k
+        b /= w
+        k += 1.0
+    return s
+
+
 class PolynomialDecay(EigenvalueRule):
-    """lambda_k = k^(-2s); summable for s > 1/2."""
+    """lambda_k = k^(-2s); summable for s > 1/2.
+
+    The tail is the Hurwitz zeta zeta(2s, m), from a port of the Cephes
+    routine (Moshier, Methods and Programs for Mathematical Functions,
+    1989) that gives scipy.special.zeta's bits without loading scipy."""
 
     name = "poly"
 
@@ -113,10 +165,7 @@ class PolynomialDecay(EigenvalueRule):
         return k ** (-2.0 * self.s)
 
     def tail(self, m):
-        # Hurwitz zeta gives the exact tail; imported here, so that only runs
-        # that need scipy.special load it
-        from scipy.special import zeta
-        return float(zeta(2.0 * self.s, m))
+        return _hurwitz_zeta(2.0 * self.s, float(max(m, 1)))
 
     def describe(self):
         return {"name": self.name, "s": self.s}
@@ -186,7 +235,7 @@ class GeometricDecay(EigenvalueRule):
         return self.scale * self.q ** (k - 1.0)
 
     def tail(self, m):
-        return self.scale * self.q ** (m - 1.0) / (1.0 - self.q)
+        return self.scale * self.q ** (max(m, 1) - 1.0) / (1.0 - self.q)
 
     def describe(self):
         return {"name": self.name, "q": self.q, "scale": self.scale}

@@ -62,3 +62,37 @@ def test_workload_takes_the_certified_moment_paths(workload, monkeypatch,
     # table's size depends on the seed
     if workload != "discretize-dense":
         assert len(calls["table"]) == 0
+
+
+_SCIPY_LOADS = """
+import importlib.util, os, sys, tempfile
+from rkhslab import experiment
+
+spec = importlib.util.spec_from_file_location("workloads", sys.argv[1])
+workloads = importlib.util.module_from_spec(spec)
+spec.loader.exec_module(workloads)
+with tempfile.TemporaryDirectory() as out:
+    for name, text in workloads.config_texts(sys.argv[2], 0):
+        cfg = experiment.build_config(experiment.parse_config(text))
+        experiment.run(cfg).write(os.path.join(out, name))
+print(sorted(m for m in sys.modules if m.split(".")[:2] in (
+    ["scipy", "linalg"], ["scipy", "special"])))
+"""
+
+
+@pytest.mark.parametrize("workload", ["recover-secular", "sweep-dense"])
+def test_recovery_workloads_load_neither_scipy_linalg_nor_special(workload):
+    # certified designs solve with R^(-1) and polynomial tails take the
+    # ported Hurwitz zeta, so a whole run stays on numpy
+    import os
+    import subprocess
+    import sys
+
+    import rkhslab
+    src = os.path.dirname(os.path.dirname(os.path.abspath(rkhslab.__file__)))
+    out = subprocess.run([sys.executable, "-c", _SCIPY_LOADS,
+                          _SPEC.origin, workload],
+                         env=dict(os.environ, PYTHONPATH=src),
+                         capture_output=True, text=True)
+    assert out.returncode == 0, out.stderr
+    assert out.stdout.splitlines() == ["[]"]

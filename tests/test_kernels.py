@@ -173,6 +173,35 @@ def test_eigenvalue_rules_behave(rule):
             float(rule.values(np.array([m]))[0]), rel=1e-9, abs=1e-12)
 
 
+@pytest.mark.parametrize("rule", [PolynomialDecay(1.0), SobolevDecay(1.0),
+                                  GeometricDecay(0.5),
+                                  ExplicitEigenvalues([1.0, 0.4, 0.1])])
+def test_tail_below_index_one_is_the_trace(rule):
+    # every rule sums from k = 1, and the Fourier tail energy reads the
+    # rule's tail at any m unguarded
+    model = SpectralKernelModel(get_basis("fourier"), rule)
+    x = np.array([0.1, 0.7])
+    for m in (0, -3):
+        assert rule.tail(m) == rule.total()
+        value, _ = model.tail_energy_at(m, x)
+        assert np.array_equal(value, np.full(2, rule.total()))
+
+
+def test_hurwitz_zeta_port_gives_the_bits_of_scipy():
+    # x = 2s for s on a grid in (1/2, 6] and at 1.5, 2; q across the
+    # Euler-Maclaurin cut-off (k + q > 9) and both sides of the q > 1e8
+    # expansion
+    from scipy.special import zeta
+
+    from rkhslab.kernels import _hurwitz_zeta
+    xs = [2.0 * s for s in np.linspace(0.5, 6.0, 41)[1:]] + [3.0, 4.0]
+    qs = [float(q) for q in range(1, 71)] + [
+        4096.0, 4097.0, 1e8 - 1.0, 1e8, 1e8 + 1.0, 2.0 ** 40, 2.0 ** 62]
+    for x in xs:
+        for q in qs:
+            assert _hurwitz_zeta(x, q) == float(zeta(x, q)), (x, q)
+
+
 def test_index_for_tail_is_tight():
     # smallest truncation length N with tail(N+1) <= bound
     rule = GeometricDecay(0.5)
@@ -655,11 +684,12 @@ loaded()
 
 def test_scipy_special_and_sparse_load_only_where_called():
     # Sobolev s = 1 eig-check and concentration runs never load either;
-    # the discretization's Lanczos solve loads scipy.sparse.linalg, and a
-    # polynomial or Sobolev s != 1 tail loads scipy.special
+    # the discretization's Lanczos solve loads scipy.sparse.linalg, a
+    # polynomial tail (the ported Hurwitz zeta) loads nothing, and only a
+    # Sobolev s != 1 tail loads scipy.special
     assert _fresh_python(_SCIPY_LOADS) == [
         "[]", "[]", "['scipy.sparse', 'scipy.sparse.linalg']",
-        "['scipy.sparse', 'scipy.sparse.linalg', 'scipy.special']"]
+        "['scipy.sparse', 'scipy.sparse.linalg']"]
     assert _fresh_python(
         "import sys, rkhslab; rkhslab.SobolevDecay(1.5).tail(5); "
         "print('scipy.special' in sys.modules)") == ["True"]
@@ -693,19 +723,21 @@ loaded()
 a = np.random.default_rng(5).standard_normal((300, 7))
 print(leastsq._triangle(a).tobytes().hex())
 print(leastsq._triangle(a + 1j * a[::-1]).tobytes().hex())
+loaded()
 """
 
 
 def test_scipy_linalg_loads_at_the_first_factorization():
     # eig-check reads the moment Gram and the concentration families their
-    # own Grams, so none of them loads scipy.linalg; the recovery's QR and
-    # triangular solves load it, and give the bits of the calls made here
+    # own Grams, and recovery on certified designs solves with R^(-1), so
+    # none of them loads scipy.linalg; the first QR loads it, and gives the
+    # bits of the calls made here
     import contextlib
     import io
 
     lines = _fresh_python(_LINALG_LOADS)
     assert [s for s in lines if s.startswith("loaded")] == [
-        "loaded False", "loaded False", "loaded True"]
+        "loaded False", "loaded False", "loaded False", "loaded True"]
     buf = io.StringIO()
     with contextlib.redirect_stdout(buf):
         exec(_LINALG_LOADS, {})

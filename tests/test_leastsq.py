@@ -295,9 +295,10 @@ def test_atom_mass_must_be_non_negative_and_finite(atom_mass):
     with pytest.raises(ValueError, match="atom mass"):
         wce_nullspace_component(atom_mass, ds)
 @pytest.mark.parametrize("model_of", [fourier_model, cosine_model])
-def test_solve_keeps_its_rhs_and_the_bits_of_two_triangular_solves(model_of):
-    # solve overwrites only its own intermediate: every rhs, a Fortran block
-    # of the factor's dtype too, comes back unchanged
+def test_solve_keeps_its_rhs_and_the_bits_of_two_inverse_products(model_of):
+    # solve writes no input: every rhs, a Fortran block of the factor's
+    # dtype too, comes back unchanged; it gives the bits of two products
+    # with R^(-1), and two triangular solves to 1e-13
     model = model_of()
     density = SamplingDensity(model, "spectral-mix", m=8)
     nodes = draw_nodes(density, 200, seed=31)
@@ -306,17 +307,41 @@ def test_solve_keeps_its_rhs_and_the_bits_of_two_triangular_solves(model_of):
                leastsq.gram_design(model, nodes, 8))
     assert designs[1] is not None
     for ds in designs:
+        inv = np.linalg.inv(ds.factor)
         for rhs in (rng.standard_normal(7), rng.standard_normal((7, 3)),
                     np.asfortranarray(rng.standard_normal((7, 3))
                                       .astype(ds.factor.dtype))):
             kept = rhs.copy()
             got = ds.solve(rhs)
             assert np.array_equal(rhs, kept)
-            want = solve_triangular(
-                ds.factor, solve_triangular(ds.factor, kept, trans="C",
-                                            lower=False), lower=False)
+            want = inv @ (inv.conj().T @ kept)
             assert got.dtype == want.dtype and got.shape == want.shape
             assert got.tobytes() == want.tobytes()
+            solved = solve_triangular(
+                ds.factor, solve_triangular(ds.factor, kept, trans="C",
+                                            lower=False), lower=False)
+            assert (np.linalg.norm(got - solved)
+                    <= 1e-13 * np.linalg.norm(solved))
+
+
+@pytest.mark.parametrize("model_of", [fourier_model, cosine_model])
+@pytest.mark.parametrize("gap", [1e-4, 1e-7, 1e-10])
+def test_solve_is_backward_stable_near_the_rank_cutoff(model_of, gap):
+    # QR designs with two node pairs ``gap`` apart, condition numbers up
+    # to 1e10: solve's normwise backward error for L*L x = L* g stays
+    # within a few eps (measured <= 2.7e-16)
+    model = model_of()
+    density = SamplingDensity(model, "plain")
+    x = np.array([0.05, 0.3, 0.3 + gap, 0.45, 0.6, 0.6 + gap, 0.8])
+    ds = assemble_design(model, nodes_from_points(density, x), 7)
+    L = ds.matrix
+    assert ds.full_rank and 0.1 < np.linalg.cond(L) * gap < 1.0
+    g = np.random.default_rng(37).standard_normal((x.size, 3))
+    b = L.conj().T @ g
+    normal = L.conj().T @ L
+    got = ds.solve(b)
+    assert (np.linalg.norm(normal @ got - b)
+            <= 1e-14 * np.linalg.norm(normal, 2) * np.linalg.norm(got))
 
 
 @pytest.mark.parametrize("model_of", [fourier_model, cosine_model])
